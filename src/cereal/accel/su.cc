@@ -129,7 +129,7 @@ class SuSim
         if (metrics_.enabled()) {
             metrics_.gauge("hm_queue",
                            "header-manager pending-reference queue depth",
-                           [this](Tick) {
+                           [this] {
                                return static_cast<double>(pending_.size());
                            });
         }

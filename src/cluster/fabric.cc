@@ -32,7 +32,7 @@ Fabric::Fabric(EventQueue &eq, unsigned nodes, NetConfig cfg,
                           1.0);
             metrics_.gauge((n + ".queued_frames").c_str(),
                            "frames backlogged across egress flows",
-                           [this, i](Tick) {
+                           [this, i] {
                                return static_cast<double>(
                                    ports_[i].queuedFrames);
                            });

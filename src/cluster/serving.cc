@@ -131,19 +131,19 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
                 ctl[i].metrics.gauge(
                     "admission_occupancy",
                     "requests admitted but not yet on the wire",
-                    [c](Tick) {
+                    [c] {
                         return static_cast<double>(c->occupancy);
                     });
                 ctl[i].metrics.gauge(
                     "stalled_frames",
                     "encoded frames parked awaiting credits",
-                    [c](Tick) {
+                    [c] {
                         return static_cast<double>(c->stalledCount);
                     });
                 ctl[i].metrics.gauge(
                     "credits_avail",
                     "send credits available across peers",
-                    [&credits, i, n](Tick) {
+                    [&credits, i, n] {
                         double sum = 0;
                         for (std::uint32_t d = 0; d < n; ++d) {
                             if (d != i) {

@@ -52,7 +52,7 @@ struct Worker
         if (metrics.enabled()) {
             metrics.gauge("queue_len",
                           "jobs waiting at this node's worker",
-                          [this](Tick) {
+                          [this] {
                               return static_cast<double>(q.size());
                           });
         }

@@ -20,7 +20,7 @@ CoreModel::CoreModel(Dram &dram, const CoreConfig &cfg, Tick start_tick)
     if (metrics_.enabled()) {
         metrics_.gauge("miss_window",
                        "outstanding overlapped DRAM misses",
-                       [this](Tick) {
+                       [this] {
                            return static_cast<double>(outstanding_.size());
                        });
         metrics_.ratio("mlp_stall_frac",

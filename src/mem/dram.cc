@@ -46,6 +46,8 @@ Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
                     return static_cast<double>(chBytes_[i]);
                 },
                 1.0 / per_tick_peak);
+            // A tick gauge: the backlog drains between commands, so
+            // its depth depends on the boundary it is sampled at.
             metrics_.gauge(
                 (ch + ".queue_depth").c_str(),
                 "bursts queued ahead on this channel's data bus",

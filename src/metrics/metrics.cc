@@ -1,6 +1,6 @@
 #include "metrics/metrics.hh"
 
-#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/json.hh"
@@ -36,11 +36,10 @@ kindName(Kind k)
 Series::Series(std::string name, std::string help, Kind kind,
                std::size_t max_samples, Tick interval)
     : name_(std::move(name)), help_(std::move(help)), kind_(kind),
-      next_(interval), interval_(interval)
+      next_(interval), interval_(interval), capacity_(max_samples)
 {
     panic_if(interval_ == 0, "metrics interval must be >= 1 tick");
-    panic_if(max_samples == 0, "metrics ring capacity must be >= 1");
-    ring_.resize(max_samples);
+    panic_if(capacity_ == 0, "metrics ring capacity must be >= 1");
 }
 
 std::vector<Sample>
@@ -48,8 +47,10 @@ Series::samples() const
 {
     std::vector<Sample> out;
     out.reserve(count_);
-    for (std::size_t i = 0; i < count_; ++i) {
-        out.push_back(ring_[(head_ + i) % ring_.size()]);
+    for (const Run &r : runs_) {
+        for (std::uint64_t i = 0; i < r.count; ++i) {
+            out.push_back({r.first + i * interval_, r.value});
+        }
     }
     return out;
 }
@@ -59,44 +60,89 @@ Series::last() const
 {
     panic_if(count_ == 0, "Series::last() on empty series '%s'",
              name_.c_str());
-    return ring_[(head_ + count_ - 1) % ring_.size()];
+    const Run &r = runs_.back();
+    return {r.first + (r.count - 1) * interval_, r.value};
 }
 
 void
-Series::push(Tick at, double v)
+Series::append(Tick first, std::uint64_t count, double v)
 {
-    if (count_ == ring_.size()) {
-        ring_[head_] = {at, v};
-        head_ = (head_ + 1) % ring_.size();
-        ++dropped_;
+    if (count == 0) {
+        return;
+    }
+    // Merge only a contiguous, bit-identical value, so -0.0 and NaN
+    // payloads survive expansion exactly.
+    if (!runs_.empty() &&
+        runs_.back().first + runs_.back().count * interval_ == first &&
+        std::bit_cast<std::uint64_t>(runs_.back().value) ==
+            std::bit_cast<std::uint64_t>(v)) {
+        runs_.back().count += count;
     } else {
-        ring_[(head_ + count_) % ring_.size()] = {at, v};
-        ++count_;
+        runs_.push_back({first, count, v});
+    }
+    std::uint64_t excess = count_ + count > capacity_
+                               ? count_ + count - capacity_
+                               : 0;
+    count_ += count - excess;
+    dropped_ += excess;
+    while (excess > 0) {
+        Run &front = runs_.front();
+        if (front.count <= excess) {
+            excess -= front.count;
+            runs_.pop_front();
+        } else {
+            front.count -= excess;
+            front.first += excess * interval_;
+            excess = 0;
+        }
     }
 }
 
 void
-Series::sampleAt(Tick at)
+Series::catchUp(Tick now)
 {
+    if (!live_ || now < next_) {
+        return;
+    }
+    const std::uint64_t k = (now - next_) / interval_ + 1;
+    const Tick first = next_;
+    next_ += k * interval_;
+    // The filler boundaries re-read the same frozen counters: each
+    // value is computed with the first boundary's formula over a zero
+    // delta, so it is bit-identical to sampling every boundary.
     switch (kind_) {
       case Kind::Gauge:
-        push(at, gauge_(at));
+        if (gauge_) {
+            append(first, k, gauge_());
+        } else {
+            // Boundaries older than the last capacity_ are dropped
+            // anyway; a tick gauge is evaluated only where it is kept.
+            const std::uint64_t skip = k > capacity_ ? k - capacity_ : 0;
+            dropped_ += skip;
+            for (Tick at = first + skip * interval_; at != next_;
+                 at += interval_) {
+                append(at, 1, tickGauge_(at));
+            }
+        }
         break;
       case Kind::Rate: {
+        const double ticks = static_cast<double>(interval_);
         const double cur = num_();
-        const double delta = cur - prevNum_;
+        append(first, 1, (cur - prevNum_) / ticks * scale_);
+        append(first + interval_, k - 1, (cur - cur) / ticks * scale_);
         prevNum_ = cur;
-        push(at, delta / static_cast<double>(interval_) * scale_);
         break;
       }
       case Kind::Ratio: {
         const double num = num_();
         const double den = den_();
-        const double dn = num - prevNum_;
-        const double dd = den - prevDen_;
+        auto ratio = [](double dn, double dd) {
+            return dd != 0 ? dn / dd : 0.0;
+        };
+        append(first, 1, ratio(num - prevNum_, den - prevDen_));
+        append(first + interval_, k - 1, ratio(num - num, den - den));
         prevNum_ = num;
         prevDen_ = den;
-        push(at, dd != 0 ? dn / dd : 0.0);
         break;
       }
     }
@@ -134,6 +180,16 @@ MetricsRecorder::addGauge(std::string name, std::string help, GaugeFn fn)
 }
 
 std::size_t
+MetricsRecorder::addGauge(std::string name, std::string help,
+                          TickGaugeFn fn)
+{
+    series_.emplace_back(std::move(name), std::move(help), Kind::Gauge,
+                         maxSamples_, interval_);
+    series_.back().tickGauge_ = std::move(fn);
+    return series_.size() - 1;
+}
+
+std::size_t
 MetricsRecorder::addRate(std::string name, std::string help, CounterFn fn,
                          double scale)
 {
@@ -167,6 +223,7 @@ MetricsRecorder::detach(const std::vector<std::size_t> &ids)
         Series &s = series_[id];
         s.live_ = false;
         s.gauge_ = nullptr;
+        s.tickGauge_ = nullptr;
         s.num_ = nullptr;
         s.den_ = nullptr;
     }
@@ -176,11 +233,7 @@ void
 MetricsRecorder::tickSeries(const std::vector<std::size_t> &ids, Tick now)
 {
     for (std::size_t id : ids) {
-        Series &s = series_[id];
-        while (s.live_ && now >= s.next_) {
-            s.sampleAt(s.next_);
-            s.next_ += interval_;
-        }
+        series_[id].catchUp(now);
     }
 }
 
@@ -325,6 +378,16 @@ Group::gauge(const char *name, const char *help, GaugeFn fn)
 }
 
 void
+Group::gauge(const char *name, const char *help, TickGaugeFn fn)
+{
+    if (rec_ == nullptr) {
+        return;
+    }
+    ids_.push_back(
+        rec_->addGauge(prefix_ + "." + name, help, std::move(fn)));
+}
+
+void
 Group::rate(const char *name, const char *help, CounterFn fn, double scale)
 {
     if (rec_ == nullptr) {
@@ -359,27 +422,27 @@ Group::gaugeFromStat(const stats::StatGroup &sg,
     switch (e->kind) {
       case stats::Kind::Scalar: {
         const auto *s = static_cast<const stats::Scalar *>(e->stat);
-        fn = [s](Tick) { return s->value(); };
+        fn = [s] { return s->value(); };
         break;
       }
       case stats::Kind::Average: {
         const auto *a = static_cast<const stats::Average *>(e->stat);
-        fn = [a](Tick) { return a->mean(); };
+        fn = [a] { return a->mean(); };
         break;
       }
       case stats::Kind::Histogram: {
         const auto *h = static_cast<const stats::Histogram *>(e->stat);
-        fn = [h](Tick) { return h->mean(); };
+        fn = [h] { return h->mean(); };
         break;
       }
       case stats::Kind::Distribution: {
         const auto *d = static_cast<const stats::Distribution *>(e->stat);
-        fn = [d](Tick) { return d->p50(); };
+        fn = [d] { return d->p50(); };
         break;
       }
       case stats::Kind::Formula: {
         const auto *f = static_cast<const stats::Formula *>(e->stat);
-        fn = [f](Tick) { return f->value(); };
+        fn = [f] { return f->value(); };
         break;
       }
     }
@@ -461,11 +524,12 @@ promName(const std::string &series_name)
 void
 writeProm(std::ostream &os, const std::vector<MetricsPoint> &points)
 {
-    // Escape a label value per the exposition format.
-    auto esc = [](const std::string &s) {
+    // Escape a label value (quote_too) or HELP text per the
+    // exposition format.
+    auto escape = [](const std::string &s, bool quote_too) {
         std::string out;
         for (char c : s) {
-            if (c == '\\' || c == '"') {
+            if (c == '\\' || (quote_too && c == '"')) {
                 out.push_back('\\');
                 out.push_back(c);
             } else if (c == '\n') {
@@ -475,6 +539,10 @@ writeProm(std::ostream &os, const std::vector<MetricsPoint> &points)
             }
         }
         return out;
+    };
+    auto esc = [&](const std::string &s) { return escape(s, true); };
+    auto help = [&](const std::string &s) {
+        return s.empty() ? std::string("-") : escape(s, false);
     };
 
     // Group sample lines by family (sanitized name) so each family is
@@ -514,8 +582,7 @@ writeProm(std::ostream &os, const std::vector<MetricsPoint> &points)
     }
 
     for (const auto &[name, f] : families) {
-        os << "# HELP " << name << ' ' << (f.help.empty() ? "-" : f.help)
-           << '\n';
+        os << "# HELP " << name << ' ' << help(f.help) << '\n';
         // Rates/ratios are windowed derivations sampled as gauges.
         os << "# TYPE " << name << " gauge\n";
         for (const auto &line : f.lines) {
@@ -562,8 +629,7 @@ writeProm(std::ostream &os, const std::vector<MetricsPoint> &points)
         }
     }
     for (const auto &[name, f] : histFams) {
-        os << "# HELP " << name << ' ' << (f.help.empty() ? "-" : f.help)
-           << '\n';
+        os << "# HELP " << name << ' ' << help(f.help) << '\n';
         os << "# TYPE " << name << " histogram\n";
         for (const auto &line : f.lines) {
             os << line << '\n';

@@ -7,13 +7,13 @@
  * layer answers the question in between: *what was the value at cycle
  * N* — DRAM bandwidth utilization, miss-window occupancy, SU busy
  * fraction, fabric queue depth — sampled on a fixed tick interval into
- * ring-buffered, deterministic time series.
+ * bounded, deterministic time series.
  *
  * Model:
  *
  *  - A MetricsRecorder owns an ordered registry of Series. Each series
  *    is one of three kinds:
- *      gauge: value = fn(t)                        (queue depths)
+ *      gauge: value = fn() or fn(t)                (queue depths)
  *      rate:  value = d(fn)/dt_ticks * scale       (bandwidth, busy
  *                                                   fractions)
  *      ratio: value = d(num)/d(den) over the tick  (hit rates, stall
@@ -24,11 +24,19 @@
  *    and detaches its series when the component dies (the recorded
  *    samples stay; sampling stops).
  *  - Sampling is driven by the component's own clock: Group::tick(now)
- *    samples each of the group's series at every interval boundary the
+ *    records each of the group's series at every interval boundary the
  *    clock has crossed. Components in this codebase restart local
  *    clocks at tick 0 per measurement, so a per-series time base (not
  *    a global one) is the only scheme under which every component gets
  *    sampled.
+ *  - Catch-up is run-length. A component's state is frozen between two
+ *    of its tick() calls, so the k boundaries one call crosses hold one
+ *    value for a state gauge, and the first-boundary delta followed by
+ *    k-1 zero deltas for a rate or ratio. Series store runs of equal
+ *    samples, and one tick() costs O(1) closure calls per series no
+ *    matter how far the clock jumped. The exception is a gauge over
+ *    the boundary tick itself (fn(t)): it is evaluated at each crossed
+ *    boundary that stays retained, at most the series capacity.
  *
  * Determinism contract (same as tracing): a recorder is single-threaded
  * and owned by one sweep point; registration happens in program order;
@@ -48,6 +56,7 @@
 #define CEREAL_METRICS_METRICS_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -72,8 +81,17 @@ struct Sample
     double value;
 };
 
-/** Sampled closure signature; receives the boundary tick sampled at. */
-using GaugeFn = std::function<double(Tick)>;
+/**
+ * State gauge: reads component state only, so it is called once per
+ * tick() and its value holds for every boundary that call crossed.
+ */
+using GaugeFn = std::function<double()>;
+/**
+ * Tick gauge: a function of the boundary tick it is sampled at (e.g. a
+ * bus's free-at time relative to that boundary). Called once per
+ * retained boundary.
+ */
+using TickGaugeFn = std::function<double(Tick)>;
 /** Cumulative-counter closure for rates/ratios. */
 using CounterFn = std::function<double()>;
 
@@ -97,13 +115,13 @@ class Series
     const std::string &help() const { return help_; }
     Kind kind() const { return kind_; }
 
-    /** Ring-buffered samples in time order (oldest first). */
+    /** Retained samples in time order (oldest first). */
     std::vector<Sample> samples() const;
 
     /** Number of samples currently retained. */
     std::size_t sampleCount() const { return count_; }
 
-    /** Samples dropped from the front of the ring. */
+    /** Samples dropped from the front to keep the capacity bound. */
     std::uint64_t dropped() const { return dropped_; }
 
     /** Last retained sample; sampleCount() must be > 0. */
@@ -112,10 +130,19 @@ class Series
   private:
     friend class MetricsRecorder;
 
-    /** Record the series' value at boundary @p at. */
-    void sampleAt(Tick at);
+    /** @p count consecutive boundaries from @p first, all valued @p v. */
+    struct Run
+    {
+        Tick first;
+        std::uint64_t count;
+        double value;
+    };
 
-    void push(Tick at, double v);
+    /** Record every boundary in (last boundary, @p now]. */
+    void catchUp(Tick now);
+
+    /** Append a run, then trim the front back to the capacity. */
+    void append(Tick first, std::uint64_t count, double v);
 
     std::string name_;
     std::string help_;
@@ -123,6 +150,7 @@ class Series
 
     /** Live closures; cleared on detach. */
     GaugeFn gauge_;
+    TickGaugeFn tickGauge_;
     CounterFn num_;
     CounterFn den_;
     /** Rate scaling applied to the per-tick delta. */
@@ -136,9 +164,9 @@ class Series
     Tick interval_;
     bool live_ = true;
 
-    /** Fixed-capacity ring of retained samples. */
-    std::vector<Sample> ring_;
-    std::size_t head_ = 0;
+    /** Retained samples as runs; at most capacity_ samples in total. */
+    std::deque<Run> runs_;
+    std::size_t capacity_;
     std::size_t count_ = 0;
     std::uint64_t dropped_ = 0;
 };
@@ -176,7 +204,7 @@ class MetricsRecorder
   public:
     /** Default sampling interval: 1 us of simulated time. */
     static constexpr Tick kDefaultInterval = 1'000'000;
-    /** Default per-series ring capacity. */
+    /** Default per-series capacity in retained samples. */
     static constexpr std::size_t kDefaultMaxSamples = 512;
 
     explicit MetricsRecorder(Tick interval = kDefaultInterval,
@@ -225,6 +253,8 @@ class MetricsRecorder
     friend class Group;
 
     std::size_t addGauge(std::string name, std::string help, GaugeFn fn);
+    std::size_t addGauge(std::string name, std::string help,
+                         TickGaugeFn fn);
     std::size_t addRate(std::string name, std::string help, CounterFn fn,
                         double scale);
     std::size_t addRatio(std::string name, std::string help, CounterFn num,
@@ -267,8 +297,11 @@ class Group
     bool enabled() const { return rec_ != nullptr; }
     const std::string &prefix() const { return prefix_; }
 
-    /** Register "<prefix>.<name>" sampling @p fn. */
+    /** Register "<prefix>.<name>" sampling state gauge @p fn. */
     void gauge(const char *name, const char *help, GaugeFn fn);
+
+    /** Register "<prefix>.<name>" sampling @p fn at each boundary tick. */
+    void gauge(const char *name, const char *help, TickGaugeFn fn);
 
     /**
      * Register a rate over cumulative counter @p fn: each sample is
@@ -299,10 +332,11 @@ class Group
                    const stats::Distribution &d);
 
     /**
-     * Sample every series of this group at each interval boundary in
-     * (last boundary, now]. Clocks that move backwards (a component
-     * restarting at tick 0) simply produce no samples until they pass
-     * the series' high-water mark.
+     * Record every series of this group at each interval boundary in
+     * (last boundary, now], in O(1) closure calls per series (tick
+     * gauges: one per retained boundary). Clocks that move backwards
+     * (a component restarting at tick 0) simply produce no samples
+     * until they pass the series' high-water mark.
      */
     void tick(Tick now);
 

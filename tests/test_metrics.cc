@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the time-series metrics layer: series kinds and sampling
- * semantics, ring-buffer bounding, prefix uniquification, RAII detach,
+ * semantics, capacity bounding, run-length catch-up (differential
+ * against a per-boundary reference recorder, plus closure-call
+ * counts), prefix uniquification, RAII detach,
  * the StatGroup bridge, the disabled (no ambient recorder) path, the
  * three exporters (JSON/CSV/Prometheus), byte-determinism of sweep
  * metrics across thread counts on both the micro and cluster stacks,
@@ -10,8 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,6 +128,307 @@ TEST(Metrics, BackwardClockProducesNoSamplesUntilHighWaterMark)
     EXPECT_EQ(rec.series()[0].sampleCount(), 3u);
     g.tick(400);
     EXPECT_EQ(rec.series()[0].sampleCount(), 4u);
+}
+
+// ------------------------------------------------ run-length catch-up
+
+/** Component state read by the closures of both recorders below. */
+struct World
+{
+    double level = 0;
+    double counter = 0;
+    double num = 0;
+    double den = 0;
+};
+
+/** The tick gauge under test: depends on the boundary and the state. */
+double
+tickGaugeValue(const World &w, Tick t)
+{
+    return w.level + static_cast<double>(t % 97);
+}
+
+/** The four closure forms a series can take. */
+enum class Form { State, TickGauge, Rate, Ratio };
+
+/**
+ * Reference series: the straightforward recorder that calls its
+ * closure at every crossed boundary and keeps a bounded FIFO of
+ * samples. Run-length catch-up must be indistinguishable from it.
+ */
+class RefSeries
+{
+  public:
+    RefSeries(Form form, const World &w, Tick interval, std::size_t cap,
+              double scale)
+        : form_(form), w_(w), interval_(interval), cap_(cap),
+          scale_(scale), next_(interval), prevNum_(initialNum()),
+          prevDen_(w.den)
+    {
+    }
+
+    void
+    tick(Tick now)
+    {
+        while (live_ && now >= next_) {
+            push(next_, valueAt(next_));
+            next_ += interval_;
+        }
+    }
+
+    void detach() { live_ = false; }
+
+    const std::deque<metrics::Sample> &samples() const { return ring_; }
+    std::uint64_t dropped() const { return dropped_; }
+
+  private:
+    double
+    initialNum() const
+    {
+        return form_ == Form::Rate ? w_.counter : w_.num;
+    }
+
+    double
+    valueAt(Tick at)
+    {
+        switch (form_) {
+          case Form::State:
+            return w_.level;
+          case Form::TickGauge:
+            return tickGaugeValue(w_, at);
+          case Form::Rate: {
+            const double delta = w_.counter - prevNum_;
+            prevNum_ = w_.counter;
+            return delta / static_cast<double>(interval_) * scale_;
+          }
+          case Form::Ratio: {
+            const double dn = w_.num - prevNum_;
+            const double dd = w_.den - prevDen_;
+            prevNum_ = w_.num;
+            prevDen_ = w_.den;
+            return dd != 0 ? dn / dd : 0.0;
+          }
+        }
+        return 0;
+    }
+
+    void
+    push(Tick at, double v)
+    {
+        ring_.push_back({at, v});
+        if (ring_.size() > cap_) {
+            ring_.pop_front();
+            ++dropped_;
+        }
+    }
+
+    Form form_;
+    const World &w_;
+    Tick interval_;
+    std::size_t cap_;
+    double scale_;
+    Tick next_;
+    double prevNum_;
+    double prevDen_;
+    bool live_ = true;
+    std::deque<metrics::Sample> ring_;
+    std::uint64_t dropped_ = 0;
+};
+
+/** Register @p form on @p g over @p w (the recorder under test). */
+void
+registerForm(Group &g, Form form, const World &w, double scale)
+{
+    switch (form) {
+      case Form::State:
+        g.gauge("state", "", [&w] { return w.level; });
+        break;
+      case Form::TickGauge:
+        g.gauge("tick", "", [&w](Tick t) { return tickGaugeValue(w, t); });
+        break;
+      case Form::Rate:
+        g.rate("rate", "", [&w] { return w.counter; }, scale);
+        break;
+      case Form::Ratio:
+        g.ratio("ratio", "", [&w] { return w.num; },
+                [&w] { return w.den; });
+        break;
+    }
+}
+
+/** Bitwise sample-by-sample equality, with a readable failure. */
+void
+expectSameSeries(const metrics::Series &s, const RefSeries &ref,
+                 const std::string &ctx)
+{
+    const auto got = s.samples();
+    const auto &want = ref.samples();
+    ASSERT_EQ(got.size(), want.size()) << ctx << " " << s.name();
+    ASSERT_EQ(s.sampleCount(), want.size()) << ctx << " " << s.name();
+    EXPECT_EQ(s.dropped(), ref.dropped()) << ctx << " " << s.name();
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].tick, want[i].tick)
+            << ctx << " " << s.name() << " sample " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
+                  std::bit_cast<std::uint64_t>(want[i].value))
+            << ctx << " " << s.name() << " sample " << i << ": "
+            << got[i].value << " vs " << want[i].value;
+    }
+    if (!want.empty()) {
+        EXPECT_EQ(s.last().tick, want.back().tick) << ctx;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.last().value),
+                  std::bit_cast<std::uint64_t>(want.back().value))
+            << ctx;
+    }
+}
+
+TEST(MetricsCatchUp, MatchesPerBoundaryReferenceBitForBit)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    // Levels include the values a run merge could get wrong: -0.0
+    // next to 0.0, and NaN (never == itself).
+    const std::vector<double> levels = {0.0, -0.0, 1.5, nan, 3.0, -7.25};
+    const std::vector<Form> forms = {Form::State, Form::TickGauge,
+                                     Form::Rate, Form::Ratio};
+
+    for (std::size_t cap : {1u, 2u, 7u, 512u}) {
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+            std::mt19937_64 rng(seed * 7919 + cap);
+            const Tick interval =
+                std::vector<Tick>{1, 3, 100, 1000}[seed % 4];
+            // A negative scale turns the zero filler into -0.0.
+            const double scale = seed % 3 == 0 ? -2.0 : 0.5;
+            World w;
+            MetricsRecorder rec(interval, cap);
+            // Group a lives throughout; group b is detached mid-run
+            // with boundaries still pending.
+            Group a(&rec, "a");
+            std::optional<Group> b;
+            b.emplace(&rec, "b");
+            std::vector<RefSeries> refs;
+            for (Group *g : {&a, &*b}) {
+                for (Form f : forms) {
+                    registerForm(*g, f, w, scale);
+                    refs.emplace_back(f, w, interval, cap, scale);
+                }
+            }
+            const std::size_t per = forms.size();
+            const std::string ctx = "cap=" + std::to_string(cap) +
+                                    " seed=" + std::to_string(seed);
+
+            Tick now_a = 0, now_b = 0;
+            const int steps = 300;
+            const int detach_at = static_cast<int>(rng() % steps);
+            for (int step = 0; step < steps; ++step) {
+                // Mutate the state the closures read.
+                switch (rng() % 6) {
+                  case 0:
+                    w.level = levels[rng() % levels.size()];
+                    break;
+                  case 1:
+                    w.counter += static_cast<double>(rng() % 50);
+                    break;
+                  case 2:
+                    w.num += static_cast<double>(rng() % 3);
+                    break; // flat denominator
+                  case 3:
+                    w.num += static_cast<double>(rng() % 5);
+                    w.den += static_cast<double>(1 + rng() % 5);
+                    break;
+                  default:
+                    break;
+                }
+                if (seed == 5 && step == steps / 2) {
+                    w.counter = inf; // inf - inf filler is NaN
+                }
+                // Advance one component's clock: small steps, long
+                // jumps over thousands of boundaries, and restarts.
+                Tick &now = rng() % 2 ? now_a : now_b;
+                switch (rng() % 5) {
+                  case 0:
+                    now = now / 3; // clock moves backwards
+                    break;
+                  case 1:
+                    now += interval * (rng() % 4000);
+                    break;
+                  default:
+                    now += rng() % (3 * interval + 1);
+                    break;
+                }
+                if (&now == &now_a) {
+                    a.tick(now);
+                    for (std::size_t i = 0; i < per; ++i) {
+                        refs[i].tick(now);
+                    }
+                } else if (b) {
+                    b->tick(now);
+                    for (std::size_t i = per; i < 2 * per; ++i) {
+                        refs[i].tick(now);
+                    }
+                }
+                if (step == detach_at) {
+                    b.reset();
+                    for (std::size_t i = per; i < 2 * per; ++i) {
+                        refs[i].detach();
+                    }
+                }
+            }
+            ASSERT_EQ(rec.series().size(), refs.size());
+            for (std::size_t i = 0; i < refs.size(); ++i) {
+                expectSameSeries(rec.series()[i], refs[i], ctx);
+            }
+        }
+    }
+}
+
+TEST(MetricsCatchUp, LongJumpCallsEachClosureOncePerTick)
+{
+    constexpr std::size_t kCap = 64;
+    constexpr std::uint64_t kBoundaries = 1'000'000'000;
+    MetricsRecorder rec(1000, kCap);
+    Group g(&rec, "comp");
+    std::uint64_t state_calls = 0, tick_calls = 0, rate_calls = 0,
+                  num_calls = 0, den_calls = 0;
+    g.gauge("state", "", [&] {
+        ++state_calls;
+        return 1.0;
+    });
+    g.gauge("tick", "", [&](Tick t) {
+        ++tick_calls;
+        return static_cast<double>(t);
+    });
+    g.rate("rate", "", [&] {
+        ++rate_calls;
+        return 5.0;
+    }, 1.0);
+    g.ratio("ratio", "",
+            [&] {
+                ++num_calls;
+                return 2.0;
+            },
+            [&] {
+                ++den_calls;
+                return 4.0;
+            });
+    // Registration primes the counters once.
+    rate_calls = num_calls = den_calls = 0;
+
+    g.tick(kBoundaries * 1000);
+    EXPECT_EQ(state_calls, 1u);
+    EXPECT_EQ(rate_calls, 1u);
+    EXPECT_EQ(num_calls, 1u);
+    EXPECT_EQ(den_calls, 1u);
+    EXPECT_LE(tick_calls, kCap);
+    for (const auto &s : rec.series()) {
+        EXPECT_EQ(s.sampleCount(), kCap) << s.name();
+        EXPECT_EQ(s.dropped(), kBoundaries - kCap) << s.name();
+        EXPECT_EQ(s.last().tick, kBoundaries * 1000) << s.name();
+    }
+    // The tick gauge's retained samples are its real values.
+    const auto tail = rec.series()[1].samples();
+    EXPECT_EQ(tail.front().tick, (kBoundaries - kCap + 1) * 1000);
+    EXPECT_EQ(tail.front().value, static_cast<double>(tail.front().tick));
 }
 
 // ------------------------------------------- registration and detach
@@ -258,6 +567,34 @@ TEST(MetricsExport, PromSkipsEmptySeriesAndEscapesLabels)
     metrics::writeProm(ss2, {{"quote\"back\\slash", &rec}});
     EXPECT_NE(ss2.str().find("point=\"quote\\\"back\\\\slash\""),
               std::string::npos);
+}
+
+TEST(MetricsExport, PromEscapesBackslashAndNewlineInHelp)
+{
+    MetricsRecorder rec(100);
+    Group g(&rec, "comp");
+    g.gauge("x", "a\\b\nc", [] { return 1.0; });
+    g.tick(100);
+    stats::Distribution d;
+    d.sample(1.0);
+    g.histogram("h", "p\\q\nr", d);
+
+    std::ostringstream ss;
+    metrics::writeProm(ss, {{"pt", &rec}});
+    const std::string doc = ss.str();
+    EXPECT_NE(doc.find("# HELP cereal_comp_x a\\\\b\\nc\n"),
+              std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("# HELP cereal_comp_h p\\\\q\\nr\n"),
+              std::string::npos)
+        << doc;
+    // Every line is a comment or a sample: no help text leaked out.
+    std::istringstream lines(doc);
+    for (std::string line; std::getline(lines, line);) {
+        EXPECT_TRUE(line.rfind("# ", 0) == 0 ||
+                    line.rfind("cereal_comp_", 0) == 0)
+            << line;
+    }
 }
 
 TEST(MetricsExport, PromNameSanitizesToMetricCharset)
