@@ -8,7 +8,6 @@
 #include "cluster/frame.hh"
 #include "cluster/worker.hh"
 #include "metrics/metrics.hh"
-#include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "trace/trace.hh"
@@ -118,11 +117,10 @@ ClusterSim::runShuffle() const
     latency.reserve(static_cast<std::size_t>(n) * (n - 1));
     std::unordered_map<std::uint32_t, Tick> start;
     Tick last_done = 0;
-    sim::BufferPool pool;
 
     Fabric fabric(eq, n, cfg_.net,
-                  [&](std::uint32_t dst, std::vector<std::uint8_t> bytes) {
-        auto res = tryDecodeFrameInfo(bytes);
+                  [&](std::uint32_t dst, const WireFrame &frame) {
+        auto res = tryDecodeFrameInfo(frame);
         panic_if(!res.ok(), "fabric delivered a corrupt frame: %s",
                  res.error().what());
         const FrameInfo &info = res.value();
@@ -133,7 +131,6 @@ ClusterSim::runShuffle() const
                  "fabric delivered a corrupt frame (payload digest"
                  " mismatch on partition %u)", info.partition);
         const std::uint32_t partition = info.partition;
-        pool.release(std::move(bytes));
         workers[dst].enqueue(deser, "deser", [&, partition] {
             latency.sample(ticksToSeconds(eq.now() - start.at(partition)));
             last_done = eq.now();
@@ -159,9 +156,8 @@ ClusterSim::runShuffle() const
                 f.partition = partition;
                 f.payload = prof.payload.data();
                 f.payloadLen = prof.payload.size();
-                auto bytes = pool.acquire();
-                encodeFrameInto(f, payloadChecksum_, bytes);
-                fabric.send(src, dst, std::move(bytes));
+                fabric.send(src, dst,
+                            encodeWireFrame(f, payloadChecksum_));
             });
         }
     }
@@ -218,11 +214,10 @@ ClusterSim::runServing(double utilization,
     std::unordered_map<std::uint32_t, Tick> arrival;
     std::uint64_t completed = 0;
     Tick last_done = 0;
-    sim::BufferPool pool;
 
     Fabric fabric(eq, n, cfg_.net,
-                  [&](std::uint32_t dst, std::vector<std::uint8_t> bytes) {
-        auto res = tryDecodeFrameInfo(bytes);
+                  [&](std::uint32_t dst, const WireFrame &frame) {
+        auto res = tryDecodeFrameInfo(frame);
         panic_if(!res.ok(), "fabric delivered a corrupt frame: %s",
                  res.error().what());
         const FrameInfo &info = res.value();
@@ -231,7 +226,6 @@ ClusterSim::runServing(double utilization,
                  "fabric delivered a corrupt frame (payload digest"
                  " mismatch on request %u)", info.partition);
         const std::uint32_t request = info.partition;
-        pool.release(std::move(bytes));
         workers[dst].enqueue(deser, "deser", [&, request] {
             latency.sample(ticksToSeconds(eq.now() - arrival.at(request)));
             ++completed;
@@ -280,9 +274,8 @@ ClusterSim::runServing(double utilization,
                     f.partition = request;
                     f.payload = prof.payload.data();
                     f.payloadLen = prof.payload.size();
-                    auto bytes = pool.acquire();
-                    encodeFrameInto(f, payloadChecksum_, bytes);
-                    fabric.send(origin, dst, std::move(bytes));
+                    fabric.send(origin, dst,
+                                encodeWireFrame(f, payloadChecksum_));
                 });
             });
         }

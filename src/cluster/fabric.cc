@@ -73,15 +73,14 @@ Fabric::propagationTicks() const
 }
 
 void
-Fabric::send(std::uint32_t src, std::uint32_t dst,
-             std::vector<std::uint8_t> frame)
+Fabric::send(std::uint32_t src, std::uint32_t dst, const WireFrame &frame)
 {
     panic_if(src >= ports_.size() || dst >= ports_.size(),
              "fabric send %u -> %u outside %zu-node cluster", src, dst,
              ports_.size());
     panic_if(src == dst, "fabric does not loop back node %u", src);
     wireBytes_ += frame.size();
-    ports_[src].flows[dst].push_back(std::move(frame));
+    ports_[src].flows[dst].push_back(frame);
     ++ports_[src].queuedFrames;
     if (!txTrace_.empty()) {
         txTrace_[src].counter(
@@ -117,7 +116,7 @@ Fabric::kickEgress(std::uint32_t src)
 
     // Form one batch for this destination: whole frames up to
     // batchBytes, but always at least one frame.
-    std::vector<std::vector<std::uint8_t>> batch;
+    std::vector<WireFrame> batch;
     std::uint64_t batch_bytes = 0;
     auto &flow = port.flows[dst];
     batch.reserve(flow.size());
@@ -160,10 +159,9 @@ Fabric::kickEgress(std::uint32_t src)
         if (!rxTrace_.empty()) {
             rxTrace_[dst].span("rx_batch", start, done);
         }
-        eq_->schedule(done, [this, dst,
-                             fs = std::move(frames)]() mutable {
-            for (auto &f : fs) {
-                deliver_(dst, std::move(f));
+        eq_->schedule(done, [this, dst, fs = std::move(frames)] {
+            for (const WireFrame &f : fs) {
+                deliver_(dst, f);
             }
         });
     });

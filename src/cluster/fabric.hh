@@ -26,6 +26,7 @@
 #include <functional>
 #include <vector>
 
+#include "cluster/frame.hh"
 #include "metrics/metrics.hh"
 #include "sim/event_queue.hh"
 #include "trace/trace.hh"
@@ -47,17 +48,21 @@ struct NetConfig
 class Fabric
 {
   public:
-    /** Called at delivery time, on the destination's ingress side. */
+    /**
+     * Called at delivery time, on the destination's ingress side. The
+     * frame still borrows its payload from the sender's owner.
+     */
     using Deliver =
-        std::function<void(std::uint32_t dst,
-                           std::vector<std::uint8_t> frame)>;
+        std::function<void(std::uint32_t dst, const WireFrame &frame)>;
 
     Fabric(EventQueue &eq, unsigned nodes, NetConfig cfg,
            Deliver deliver);
 
-    /** Queue @p frame for transmission from @p src to @p dst. */
-    void send(std::uint32_t src, std::uint32_t dst,
-              std::vector<std::uint8_t> frame);
+    /**
+     * Queue @p frame for transmission from @p src to @p dst. Only the
+     * header is copied; the payload's owner must outlive delivery.
+     */
+    void send(std::uint32_t src, std::uint32_t dst, const WireFrame &frame);
 
     /** Link occupancy of @p bytes at the configured bandwidth. */
     Tick txTicks(std::uint64_t bytes) const;
@@ -65,7 +70,7 @@ class Fabric
     /** One-way propagation latency in ticks. */
     Tick propagationTicks() const;
 
-    /** Total frame bytes handed to send(). */
+    /** Total frame bytes (header + payload) handed to send(). */
     std::uint64_t wireBytes() const { return wireBytes_; }
 
     /** Transmission batches formed so far. */
@@ -83,7 +88,7 @@ class Fabric
     struct Port
     {
         /** Per-destination FIFO flows awaiting transmission. */
-        std::vector<std::deque<std::vector<std::uint8_t>>> flows;
+        std::vector<std::deque<WireFrame>> flows;
         /** Next flow the round-robin scheduler inspects. */
         std::uint32_t rrNext = 0;
         bool busy = false;

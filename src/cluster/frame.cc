@@ -25,35 +25,24 @@ fnv1a64(const std::uint8_t *data, std::size_t n)
 
 namespace {
 
-inline void
-put16(std::vector<std::uint8_t> &out, std::uint16_t v)
+/** Store @p v's low @p n bytes at @p p, little-endian; return the end. */
+inline std::uint8_t *
+putLE(std::uint8_t *p, std::uint64_t v, unsigned n)
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-inline void
-put32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    for (unsigned i = 0; i < n; ++i) {
+        *p++ = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    return p;
 }
 
-inline void
-put64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-/** Shared header validation; throws DecodeError like decodeFrame(). */
+/**
+ * The one header parser: reads and validates the fixed header and the
+ * trace extension at the front of @p r, leaving r at the first byte
+ * past them. The payload length is checked by checkPayloadLen().
+ */
 FrameInfo
-decodeFrameInfoOrThrow(const std::vector<std::uint8_t> &bytes)
+parseHeader(ByteReader &r)
 {
-    ByteReader r(bytes);
-
     const std::uint32_t magic = r.u32();
     decode_check(magic == kFrameMagic, DecodeStatus::BadMagic, 0,
                  "not a partition frame (magic 0x%08x)", magic);
@@ -80,7 +69,6 @@ decodeFrameInfoOrThrow(const std::vector<std::uint8_t> &bytes)
     f.payloadLen = r.u64();
     f.checksum = r.u64();
 
-    std::size_t payloadOff = kFrameHeaderBytes;
     if (f.hasTrace()) {
         f.traceId = r.u64();
         f.spanId = r.u32();
@@ -92,50 +80,52 @@ decodeFrameInfoOrThrow(const std::vector<std::uint8_t> &bytes)
                      kFrameHeaderBytes + 12,
                      "nonzero reserved word in trace extension (0x%08x)",
                      reserved);
-        payloadOff += kFrameTraceExtBytes;
     }
-
-    decode_check(f.payloadLen <= r.remaining(), DecodeStatus::Truncated,
-                 r.pos(), "payload declares %llu bytes, %zu remain",
-                 (unsigned long long)f.payloadLen, r.remaining());
-    decode_check(f.payloadLen == r.remaining(), DecodeStatus::BadLength,
-                 r.pos(),
-                 "%zu trailing bytes after declared payload",
-                 r.remaining() - static_cast<std::size_t>(f.payloadLen));
-
-    f.payload = bytes.data() + payloadOff;
     return f;
+}
+
+/** Check @p f's declared payload length against the @p carried bytes. */
+void
+checkPayloadLen(const FrameInfo &f, std::uint64_t carried, std::size_t at)
+{
+    decode_check(f.payloadLen <= carried, DecodeStatus::Truncated, at,
+                 "payload declares %llu bytes, %llu remain",
+                 (unsigned long long)f.payloadLen,
+                 (unsigned long long)carried);
+    decode_check(f.payloadLen == carried, DecodeStatus::BadLength, at,
+                 "%llu trailing bytes after declared payload",
+                 (unsigned long long)(carried - f.payloadLen));
 }
 
 } // namespace
 
-void
-encodeFrameInto(const FrameRef &f, std::uint64_t checksum,
-                std::vector<std::uint8_t> &out)
+WireFrame
+encodeWireFrame(const FrameRef &f, std::uint64_t checksum)
 {
-    out.clear();
-    out.reserve(kFrameHeaderBytes +
-                (f.hasTrace() ? kFrameTraceExtBytes : 0) +
-                static_cast<std::size_t>(f.payloadLen));
-    put32(out, kFrameMagic);
-    out.push_back(kFrameVersion);
-    out.push_back(f.format);
-    put16(out, f.flags);
-    put32(out, f.srcNode);
-    put32(out, f.dstNode);
-    put32(out, f.partition);
-    put64(out, f.payloadLen);
-    put64(out, checksum);
+    WireFrame w;
+    std::uint8_t *p = w.header.data();
+    p = putLE(p, kFrameMagic, 4);
+    *p++ = kFrameVersion;
+    *p++ = f.format;
+    p = putLE(p, f.flags, 2);
+    p = putLE(p, f.srcNode, 4);
+    p = putLE(p, f.dstNode, 4);
+    p = putLE(p, f.partition, 4);
+    p = putLE(p, f.payloadLen, 8);
+    p = putLE(p, checksum, 8);
     if (f.hasTrace()) {
-        put64(out, f.traceId);
-        put32(out, f.spanId);
-        put32(out, 0); // reserved, must be zero
+        p = putLE(p, f.traceId, 8);
+        p = putLE(p, f.spanId, 4);
+        p = putLE(p, 0, 4); // reserved, must be zero
     }
-    out.insert(out.end(), f.payload, f.payload + f.payloadLen);
+    w.headerLen = static_cast<std::uint32_t>(p - w.header.data());
+    w.payload = f.payload;
+    w.payloadLen = f.payloadLen;
+    return w;
 }
 
-std::vector<std::uint8_t>
-encodeFrame(const Frame &f)
+FrameRef
+frameRef(const Frame &f)
 {
     FrameRef ref;
     ref.format = f.format;
@@ -147,16 +137,28 @@ encodeFrame(const Frame &f)
     ref.spanId = f.spanId;
     ref.payload = f.payload.data();
     ref.payloadLen = f.payload.size();
+    return ref;
+}
+
+std::vector<std::uint8_t>
+encodeFrame(const Frame &f)
+{
+    const WireFrame w = encodeWireFrame(
+        frameRef(f), fnv1a64(f.payload.data(), f.payload.size()));
     std::vector<std::uint8_t> out;
-    encodeFrameInto(ref, fnv1a64(f.payload.data(), f.payload.size()),
-                    out);
+    out.reserve(w.size());
+    out.assign(w.header.data(), w.header.data() + w.headerLen);
+    out.insert(out.end(), f.payload.begin(), f.payload.end());
     return out;
 }
 
 Frame
 decodeFrame(const std::vector<std::uint8_t> &bytes)
 {
-    const FrameInfo info = decodeFrameInfoOrThrow(bytes);
+    ByteReader r(bytes);
+    FrameInfo info = parseHeader(r);
+    checkPayloadLen(info, r.remaining(), r.pos());
+    info.payload = bytes.data() + r.pos();
 
     Frame f;
     f.format = info.format;
@@ -180,10 +182,21 @@ decodeFrame(const std::vector<std::uint8_t> &bytes)
 }
 
 DecodeResult<FrameInfo>
-tryDecodeFrameInfo(const std::vector<std::uint8_t> &bytes)
+tryDecodeFrameInfo(const WireFrame &frame)
 {
     try {
-        return decodeFrameInfoOrThrow(bytes);
+        decode_check(frame.headerLen <= frame.header.size(),
+                     DecodeStatus::BadLength, 0,
+                     "header length %u exceeds the %zu-byte maximum",
+                     frame.headerLen, frame.header.size());
+        ByteReader r(frame.header.data(), frame.headerLen);
+        FrameInfo info = parseHeader(r);
+        decode_check(r.done(), DecodeStatus::BadLength, r.pos(),
+                     "%zu stray bytes after the frame header",
+                     r.remaining());
+        checkPayloadLen(info, frame.payloadLen, r.pos());
+        info.payload = frame.payload;
+        return info;
     } catch (const DecodeError &e) {
         return e;
     }

@@ -38,6 +38,8 @@
 #ifndef CEREAL_CLUSTER_FRAME_HH
 #define CEREAL_CLUSTER_FRAME_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -82,11 +84,9 @@ struct Frame
 };
 
 /**
- * A frame whose payload bytes are owned elsewhere (zero-copy encode).
- *
- * The cluster simulator sends the same profiled partition payload
- * thousands of times per run; FrameRef lets the send path reference it
- * in place instead of copying it into a Frame first.
+ * The header fields of a frame whose payload bytes are owned elsewhere:
+ * the send path's input to encodeWireFrame(), which encodes the header
+ * and borrows the payload instead of copying it.
  */
 struct FrameRef
 {
@@ -105,8 +105,34 @@ struct FrameRef
 };
 
 /**
+ * One frame on the simulated wire, split in two: the encoded header
+ * (36 bytes, plus the 16-byte trace extension when present) held
+ * inline, and the payload borrowed from its owner. The header bytes
+ * followed by the payload bytes are exactly encodeFrame()'s bytes, and
+ * size() is their sum, so the fabric times a WireFrame like the
+ * contiguous frame it stands for while moving only the header.
+ *
+ * Lifetime: the payload's owner must outlive the frame's delivery.
+ * The cluster simulator's payload is its NodeProfile; a dataflow
+ * stage's batches live until the stage has drained the event queue.
+ */
+struct WireFrame
+{
+    /** Header bytes; only the first headerLen are meaningful. */
+    std::array<std::uint8_t, kFrameHeaderBytes + kFrameTraceExtBytes>
+        header{};
+    std::uint32_t headerLen = 0;
+    /** Borrowed payload bytes. */
+    const std::uint8_t *payload = nullptr;
+    std::uint64_t payloadLen = 0;
+
+    /** Bytes this frame occupies on the wire. */
+    std::uint64_t size() const { return headerLen + payloadLen; }
+};
+
+/**
  * Header view of a validated frame (zero-copy decode): all header
- * fields plus a pointer into the caller's buffer. The stored checksum
+ * fields plus a pointer to the payload bytes. The stored checksum
  * is NOT recomputed — callers that already know the expected payload
  * checksum compare against it; hostile input goes through decodeFrame.
  */
@@ -120,7 +146,7 @@ struct FrameInfo
     /** Trace context (meaningful iff flags has kFrameFlagTraced). */
     std::uint64_t traceId = 0;
     std::uint32_t spanId = 0;
-    /** Payload bytes, pointing into the decoded buffer. */
+    /** Payload bytes, pointing into the decoded frame's storage. */
     const std::uint8_t *payload = nullptr;
     std::uint64_t payloadLen = 0;
     /** Checksum as stored in the header (not recomputed). */
@@ -135,18 +161,19 @@ const char *frameFormatName(std::uint8_t id);
 /** FNV-1a 64-bit hash of @p data (the frame payload checksum). */
 std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t n);
 
+/** The header fields of @p f, with its payload borrowed. */
+FrameRef frameRef(const Frame &f);
+
 /** Encode @p f; a decoded frame re-encodes to identical bytes. */
 std::vector<std::uint8_t> encodeFrame(const Frame &f);
 
 /**
- * Encode @p f into @p out (cleared first; its capacity is reused, so
- * pooled buffers make steady-state sends allocation-free). @p checksum
- * must be fnv1a64 over the payload — callers cache it once per payload
- * instead of re-hashing hundreds of kilobytes per send. Produces bytes
- * identical to encodeFrame().
+ * Encode the header of @p f and borrow its payload (the only header
+ * encoder; encodeFrame() appends the payload to its bytes). @p checksum
+ * must be fnv1a64 over the payload: callers cache it once per payload
+ * instead of re-hashing hundreds of kilobytes per send.
  */
-void encodeFrameInto(const FrameRef &f, std::uint64_t checksum,
-                     std::vector<std::uint8_t> &out);
+WireFrame encodeWireFrame(const FrameRef &f, std::uint64_t checksum);
 
 /**
  * Decode one frame occupying the whole of @p bytes.
@@ -162,16 +189,18 @@ Frame decodeFrame(const std::vector<std::uint8_t> &bytes);
 DecodeResult<Frame> tryDecodeFrame(const std::vector<std::uint8_t> &bytes);
 
 /**
- * Validate the frame header of @p bytes and return a zero-copy view.
+ * Validate the header of @p frame and return a view of it.
  *
  * Performs every structural check decodeFrame() does (magic, version,
- * format id, reserved flags, exact payload length) but neither copies
- * the payload nor recomputes its checksum; FrameInfo::checksum is the
- * stored value for the caller to compare against a known-good hash.
- * The view borrows @p bytes and dies with it.
+ * format id, reserved flags, trace extension) with the same typed
+ * errors, and requires the header to end exactly where its bytes end
+ * (stray header bytes are BadLength) and the declared payload length
+ * to equal the carried one (shorter is Truncated, longer BadLength).
+ * It neither reads the payload nor recomputes its checksum;
+ * FrameInfo::checksum is the stored value for the caller to compare
+ * against a known-good hash. The view borrows the frame's payload.
  */
-DecodeResult<FrameInfo>
-tryDecodeFrameInfo(const std::vector<std::uint8_t> &bytes);
+DecodeResult<FrameInfo> tryDecodeFrameInfo(const WireFrame &frame);
 
 } // namespace cereal
 

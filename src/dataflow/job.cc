@@ -14,7 +14,6 @@
 #include "cpu/core_model.hh"
 #include "dataflow/batch.hh"
 #include "mem/dram.hh"
-#include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "trace/trace.hh"
@@ -81,9 +80,8 @@ class StageEngine
           em_(observe_ ? trace::current() : trace::TraceEmitter()),
           workers_(cfg.nodes),
           fabric_(eq_, cfg.nodes, cfg.net,
-                  [this](std::uint32_t dst,
-                         std::vector<std::uint8_t> bytes) {
-                      deliver(dst, std::move(bytes));
+                  [this](std::uint32_t dst, const WireFrame &frame) {
+                      deliver(dst, frame);
                   })
     {
         panic_if(cfg_.nodes < 2, "dataflow needs at least 2 nodes");
@@ -153,9 +151,9 @@ class StageEngine
     }
 
     void
-    deliver(std::uint32_t dst, std::vector<std::uint8_t> bytes)
+    deliver(std::uint32_t dst, const WireFrame &frame)
     {
-        auto res = tryDecodeFrameInfo(bytes);
+        auto res = tryDecodeFrameInfo(frame);
         panic_if(!res.ok(), "fabric delivered a corrupt frame: %s",
                  res.error().what());
         const FrameInfo &info = res.value();
@@ -172,7 +170,6 @@ class StageEngine
                  "batch %u arrived with foreign trace id %llu",
                  info.partition, (unsigned long long)info.traceId);
         m.deliver = eq_.now();
-        pool_.release(std::move(bytes));
         const std::uint32_t id = info.partition;
         workers_[dst].enqueue(m.deserTicks, "deser",
                               [this, dst, id] { onBatchDecoded(dst, id); });
@@ -203,7 +200,6 @@ class StageEngine
     EventQueue eq_;
     std::vector<cluster::Worker> workers_;
     Fabric fabric_;
-    sim::BufferPool pool_;
 
     std::unordered_map<std::uint32_t, BatchMeta> batchMeta_;
     std::vector<std::uint32_t> arrived_;
@@ -275,6 +271,8 @@ StageEngine::runStage(const Stage &st,
     // backend — empty batches included, so the receive barrier counts
     // exactly n arrivals — and decode it on the receive side through
     // the trait-matched path (views for zero-copy, heap walk else).
+    // Wire frames borrow their payloads from these batches, which
+    // outlive the eq_.runAll() that delivers them.
     struct BatchExec
     {
         EncodedBatch enc;
@@ -380,9 +378,8 @@ StageEngine::runStage(const Stage &st,
                     }
                     f.payload = b->enc.payload.data();
                     f.payloadLen = b->enc.payload.size();
-                    auto bytes = pool_.acquire();
-                    encodeFrameInto(f, b->checksum, bytes);
-                    fabric_.send(src, dst, std::move(bytes));
+                    fabric_.send(src, dst,
+                                 encodeWireFrame(f, b->checksum));
                 });
         }
     }

@@ -120,13 +120,20 @@ class ByteReader
   public:
     explicit ByteReader(const std::vector<std::uint8_t> &buf,
                         MemSink *sink = nullptr)
-        : buf_(&buf), sink_(sink)
+        : ByteReader(buf.data(), buf.size(), sink)
+    {
+    }
+
+    /** Reader over the @p size bytes at @p data (borrowed). */
+    ByteReader(const std::uint8_t *data, std::size_t size,
+               MemSink *sink = nullptr)
+        : data_(data), size_(size), sink_(sink)
     {
     }
 
     std::size_t pos() const { return pos_; }
-    std::size_t remaining() const { return buf_->size() - pos_; }
-    bool done() const { return pos_ >= buf_->size(); }
+    std::size_t remaining() const { return size_ - pos_; }
+    bool done() const { return pos_ >= size_; }
 
     std::uint8_t
     u8()
@@ -218,7 +225,7 @@ class ByteReader
             sink_->load(kStreamBase + pos_,
                         static_cast<std::uint32_t>(n));
         }
-        std::memcpy(dst, buf_->data() + pos_, n);
+        std::memcpy(dst, data_ + pos_, n);
         pos_ += n;
     }
 
@@ -234,7 +241,8 @@ class ByteReader
     }
 
   private:
-    const std::vector<std::uint8_t> *buf_;
+    const std::uint8_t *data_;
+    std::size_t size_;
     std::size_t pos_ = 0;
     MemSink *sink_;
 };

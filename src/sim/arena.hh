@@ -3,9 +3,8 @@
  * Arena/pool allocation layer for the simulator's own hot paths.
  *
  * The simulator pays for allocation twice: once in the *modeled* heap
- * (src/heap) and once in its own event loop (callback captures, frame
- * buffers, per-request bookkeeping). This header removes the second
- * cost:
+ * (src/heap) and once in its own event loop (callback captures,
+ * per-request bookkeeping). This header removes the second cost:
  *
  *  - Arena: a chunked bump allocator. alloc() is a pointer increment;
  *    reset() rewinds without returning chunks to the OS, so steady-state
@@ -13,9 +12,6 @@
  *  - Pool<T>: a typed free-list over an Arena. acquire()/release()
  *    recycle fixed-size slots; released slots are ASan-poisoned so
  *    use-after-release is caught under sanitizers.
- *  - BufferPool: recycles std::vector<std::uint8_t> payload buffers
- *    (the cluster fabric's frame bytes), keeping their capacity alive
- *    across acquire/release cycles.
  *  - ContiguousBuffer: a geometrically growing flat byte buffer for the
  *    modeled heap's backing store. Unlike std::vector it exposes
  *    claimZeroed() so only the bytes actually handed out are zeroed,
@@ -307,56 +303,6 @@ class Pool
     Arena arena_;
     std::vector<void *> free_;
     std::size_t live_ = 0;
-};
-
-/**
- * Recycler for byte-vector payload buffers (frame bytes on the cluster
- * fabric). acquire() hands back a cleared vector that retains the
- * capacity of its previous life, so a serving run that streams
- * thousands of ~300 KB frames stops hammering the global allocator
- * after the first few round trips.
- */
-class BufferPool
-{
-  public:
-    BufferPool() = default;
-
-    BufferPool(const BufferPool &) = delete;
-    BufferPool &operator=(const BufferPool &) = delete;
-
-    /** Get an empty buffer (capacity recycled when available). */
-    std::vector<std::uint8_t>
-    acquire()
-    {
-        if (free_.empty()) {
-            ++misses_;
-            return {};
-        }
-        ++hits_;
-        std::vector<std::uint8_t> buf = std::move(free_.back());
-        free_.pop_back();
-        buf.clear();
-        return buf;
-    }
-
-    /** Return a buffer; its capacity is kept for the next acquire(). */
-    void
-    release(std::vector<std::uint8_t> &&buf)
-    {
-        free_.push_back(std::move(buf));
-    }
-
-    /** acquire() calls served from the free list. */
-    std::uint64_t hits() const { return hits_; }
-    /** acquire() calls that had to hand out a fresh buffer. */
-    std::uint64_t misses() const { return misses_; }
-    /** Buffers currently parked in the pool. */
-    std::size_t parked() const { return free_.size(); }
-
-  private:
-    std::vector<std::vector<std::uint8_t>> free_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
 };
 
 /**

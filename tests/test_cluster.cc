@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for the cluster subsystem: partition-frame codec (round trip,
- * every negative status, all-prefix truncation sweep), fabric timing
- * (zero-load latency, per-flow fairness, incast serialization,
- * batching), and the event-driven cluster simulation (all-to-all
- * completeness, latency percentiles, load response, determinism, and
+ * every negative status, all-prefix truncation sweep, each for the
+ * contiguous and the split header + borrowed payload form), fabric
+ * timing (zero-load latency, in-place payload delivery, per-flow
+ * fairness, incast serialization, batching), and the event-driven
+ * cluster simulation (all-to-all completeness, latency percentiles,
+ * load response, determinism, and
  * the Cereal-dominance property the bench asserts at full scale).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -35,6 +38,23 @@ goldenFrame()
     f.partition = 13;
     f.payload = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x42, 0x42, 0x42};
     return f;
+}
+
+/**
+ * Contiguous frame @p bytes as the wire carries them: the first
+ * @p headerLen bytes (at most what there is) inline, the rest borrowed.
+ */
+WireFrame
+splitAt(const std::vector<std::uint8_t> &bytes, std::size_t headerLen)
+{
+    WireFrame w;
+    const std::size_t h = std::min(headerLen, bytes.size());
+    EXPECT_LE(h, w.header.size());
+    std::copy_n(bytes.begin(), h, w.header.begin());
+    w.headerLen = static_cast<std::uint32_t>(h);
+    w.payload = bytes.data() + h;
+    w.payloadLen = bytes.size() - h;
+    return w;
 }
 
 TEST(FrameCodec, RoundTripIsCanonical)
@@ -67,12 +87,60 @@ TEST(FrameCodec, EmptyPayloadRoundTrips)
     EXPECT_EQ(encodeFrame(d), bytes);
 }
 
+TEST(FrameCodec, WireFrameIsTheContiguousFrameSplit)
+{
+    const Frame f = goldenFrame();
+    const auto bytes = encodeFrame(f);
+    const WireFrame w =
+        encodeWireFrame(frameRef(f), fnv1a64(f.payload.data(),
+                                             f.payload.size()));
+    EXPECT_EQ(w.headerLen, kFrameHeaderBytes);
+    EXPECT_EQ(w.payload, f.payload.data()) << "payload was copied";
+    EXPECT_EQ(w.size(), bytes.size());
+    std::vector<std::uint8_t> joined(w.header.begin(),
+                                     w.header.begin() + w.headerLen);
+    joined.insert(joined.end(), w.payload, w.payload + w.payloadLen);
+    EXPECT_EQ(joined, bytes);
+
+    // The split decoder reads back the header decodeFrame() does.
+    const Frame d = decodeFrame(bytes);
+    auto res = tryDecodeFrameInfo(w);
+    ASSERT_TRUE(res.ok()) << res.error().what();
+    const FrameInfo &info = res.value();
+    EXPECT_EQ(info.format, d.format);
+    EXPECT_EQ(info.flags, d.flags);
+    EXPECT_EQ(info.srcNode, d.srcNode);
+    EXPECT_EQ(info.dstNode, d.dstNode);
+    EXPECT_EQ(info.partition, d.partition);
+    EXPECT_FALSE(info.hasTrace());
+    EXPECT_EQ(info.payload, f.payload.data());
+    EXPECT_EQ(info.payloadLen, d.payload.size());
+    EXPECT_EQ(info.checksum,
+              fnv1a64(d.payload.data(), d.payload.size()));
+}
+
 DecodeStatus
 statusOf(const std::vector<std::uint8_t> &bytes)
 {
     auto res = tryDecodeFrame(bytes);
     EXPECT_FALSE(res.ok()) << "frame unexpectedly decoded";
     return res.ok() ? DecodeStatus::Malformed : res.error().status();
+}
+
+DecodeStatus
+statusOf(const WireFrame &frame)
+{
+    auto res = tryDecodeFrameInfo(frame);
+    EXPECT_FALSE(res.ok()) << "wire frame unexpectedly decoded";
+    return res.ok() ? DecodeStatus::Malformed : res.error().status();
+}
+
+/** Status of @p bytes through the contiguous and the split decoder. */
+void
+expectBoth(const std::vector<std::uint8_t> &bytes, DecodeStatus want)
+{
+    EXPECT_EQ(statusOf(bytes), want);
+    EXPECT_EQ(statusOf(splitAt(bytes, kFrameHeaderBytes)), want);
 }
 
 TEST(FrameCodec, EveryBackendFormatIdRoundTrips)
@@ -106,33 +174,50 @@ TEST(FrameCodec, EveryNegativeStatusIsReachable)
     };
 
     // Magic byte wrong.
-    EXPECT_EQ(statusOf(corrupt(0, 'X')), DecodeStatus::BadMagic);
+    expectBoth(corrupt(0, 'X'), DecodeStatus::BadMagic);
     // Unsupported version.
-    EXPECT_EQ(statusOf(corrupt(4, 2)), DecodeStatus::BadTag);
+    expectBoth(corrupt(4, 2), DecodeStatus::BadTag);
     // Unknown serializer format id.
-    EXPECT_EQ(statusOf(corrupt(5, 9)), DecodeStatus::BadClass);
+    expectBoth(corrupt(5, 9), DecodeStatus::BadClass);
     // Reserved flag bit set (high byte of the u16 at offset 6).
-    EXPECT_EQ(statusOf(corrupt(7, 0x80)), DecodeStatus::Malformed);
-    // Payload byte flipped -> checksum mismatch.
-    EXPECT_EQ(statusOf(corrupt(kFrameHeaderBytes, 0x00)),
-              DecodeStatus::Malformed);
+    expectBoth(corrupt(7, 0x80), DecodeStatus::Malformed);
 
-    // Payload shorter than declared.
+    // Payload byte flipped -> checksum mismatch. The split decoder
+    // does not hash the payload: it hands back the stored checksum,
+    // which no longer matches the carried bytes.
+    const auto flipped = corrupt(kFrameHeaderBytes, 0x00);
+    EXPECT_EQ(statusOf(flipped), DecodeStatus::Malformed);
+    auto view = tryDecodeFrameInfo(splitAt(flipped, kFrameHeaderBytes));
+    ASSERT_TRUE(view.ok()) << view.error().what();
+    EXPECT_NE(view.value().checksum,
+              fnv1a64(view.value().payload, view.value().payloadLen));
+
+    // Payload shorter than declared (split: carried < declared).
     auto short_payload = golden;
     short_payload.pop_back();
-    EXPECT_EQ(statusOf(short_payload), DecodeStatus::Truncated);
+    expectBoth(short_payload, DecodeStatus::Truncated);
 
-    // Trailing bytes after the declared payload.
+    // Trailing bytes after the declared payload (split: carried >
+    // declared).
     auto trailing = golden;
     trailing.push_back(0);
-    EXPECT_EQ(statusOf(trailing), DecodeStatus::BadLength);
+    expectBoth(trailing, DecodeStatus::BadLength);
+
+    // Split only: a stray byte after the header (the first payload
+    // byte carried inline), and a header length past the inline array.
+    EXPECT_EQ(statusOf(splitAt(golden, kFrameHeaderBytes + 1)),
+              DecodeStatus::BadLength);
+    WireFrame overlong = splitAt(golden, kFrameHeaderBytes);
+    overlong.headerLen =
+        static_cast<std::uint32_t>(overlong.header.size() + 1);
+    EXPECT_EQ(statusOf(overlong), DecodeStatus::BadLength);
 
     // Declared length overflows the buffer massively (wrap-safety).
     auto huge = golden;
     for (std::size_t i = 20; i < 28; ++i) {
         huge[i] = 0xff; // payloadLen = 2^64-1
     }
-    EXPECT_EQ(statusOf(huge), DecodeStatus::Truncated);
+    expectBoth(huge, DecodeStatus::Truncated);
 }
 
 TEST(FrameCodec, EveryProperPrefixFailsCleanly)
@@ -148,6 +233,11 @@ TEST(FrameCodec, EveryProperPrefixFailsCleanly)
             EXPECT_EQ(res.error().status(), DecodeStatus::Truncated)
                 << "prefix " << n;
         }
+        // The split decoder fails the same way on the same bytes.
+        auto split = tryDecodeFrameInfo(splitAt(prefix, kFrameHeaderBytes));
+        ASSERT_FALSE(split.ok()) << "split prefix of " << n << " decoded";
+        EXPECT_EQ(split.error().status(), res.error().status())
+            << "prefix " << n;
     }
 }
 
@@ -168,8 +258,25 @@ struct Delivery
 {
     Tick when;
     std::uint32_t dst;
-    std::size_t bytes;
+    std::uint64_t bytes;
+    const std::uint8_t *payload;
 };
+
+/**
+ * A well-formed @p bytes-byte wire frame (36-byte header + payload)
+ * whose payload is borrowed from a shared zero buffer.
+ */
+WireFrame
+wireFrameOf(std::size_t bytes)
+{
+    static const std::vector<std::uint8_t> zeros(64 * 1024, 0);
+    EXPECT_GE(bytes, kFrameHeaderBytes);
+    EXPECT_LE(bytes - kFrameHeaderBytes, zeros.size());
+    FrameRef f;
+    f.payload = zeros.data();
+    f.payloadLen = bytes - kFrameHeaderBytes;
+    return encodeWireFrame(f, 0);
+}
 
 struct FabricHarness
 {
@@ -179,10 +286,9 @@ struct FabricHarness
 
     explicit FabricHarness(unsigned nodes, NetConfig cfg = NetConfig())
         : fabric(eq, nodes, cfg,
-                 [this](std::uint32_t dst,
-                        std::vector<std::uint8_t> frame) {
+                 [this](std::uint32_t dst, const WireFrame &frame) {
                      deliveries.push_back(
-                         {eq.now(), dst, frame.size()});
+                         {eq.now(), dst, frame.size(), frame.payload});
                  })
     {
     }
@@ -191,7 +297,7 @@ struct FabricHarness
 TEST(Fabric, ZeroLoadLatencyMatchesLinkModel)
 {
     FabricHarness h(2);
-    std::vector<std::uint8_t> frame(1000, 0xab);
+    const WireFrame frame = wireFrameOf(1000);
     const Tick tx = h.fabric.txTicks(frame.size());
     const Tick prop = h.fabric.propagationTicks();
 
@@ -206,6 +312,35 @@ TEST(Fabric, ZeroLoadLatencyMatchesLinkModel)
     EXPECT_EQ(h.fabric.wireBytes(), frame.size());
 }
 
+TEST(Fabric, DeliversBorrowedPayloadInPlace)
+{
+    // A 36 B header + 964 B borrowed payload is a 1000-byte frame on
+    // the wire: same occupancy and delivery tick as the zero-load
+    // case, and the receiver sees the sender's payload bytes, not a
+    // copy of them.
+    FabricHarness h(2);
+    std::vector<std::uint8_t> payload(964, 0x5a);
+    FrameRef f;
+    f.srcNode = 0;
+    f.dstNode = 1;
+    f.payload = payload.data();
+    f.payloadLen = payload.size();
+    const WireFrame frame = encodeWireFrame(
+        f, fnv1a64(payload.data(), payload.size()));
+    ASSERT_EQ(frame.headerLen, kFrameHeaderBytes);
+
+    h.fabric.send(0, 1, frame);
+    h.eq.runAll();
+
+    ASSERT_EQ(h.deliveries.size(), 1u);
+    EXPECT_EQ(h.deliveries[0].payload, payload.data());
+    EXPECT_EQ(h.deliveries[0].bytes, 1000u);
+    EXPECT_EQ(h.fabric.wireBytes(), 1000u);
+    const Tick tx = h.fabric.txTicks(1000);
+    EXPECT_EQ(h.deliveries[0].when,
+              tx + h.fabric.propagationTicks() + tx);
+}
+
 TEST(Fabric, SameFlowStaysFifo)
 {
     NetConfig cfg;
@@ -213,8 +348,7 @@ TEST(Fabric, SameFlowStaysFifo)
     FabricHarness h(2, cfg);
     for (int i = 1; i <= 4; ++i) {
         h.fabric.send(0, 1,
-                      std::vector<std::uint8_t>(
-                          static_cast<std::size_t>(i * 100), 0));
+                      wireFrameOf(static_cast<std::size_t>(i * 100)));
     }
     h.eq.runAll();
     ASSERT_EQ(h.deliveries.size(), 4u);
@@ -231,7 +365,7 @@ TEST(Fabric, RoundRobinSharesEgressAcrossFlows)
     NetConfig cfg;
     cfg.batchBytes = 1; // per-frame batches make the RR visible
     FabricHarness h(3, cfg);
-    std::vector<std::uint8_t> frame(5000, 0);
+    const WireFrame frame = wireFrameOf(5000);
     // Three frames to node 1 queued first, then one to node 2; fair
     // sharing must not make node 2 wait for the whole node-1 backlog.
     h.fabric.send(0, 1, frame);
@@ -256,7 +390,7 @@ TEST(Fabric, RoundRobinSharesEgressAcrossFlows)
 TEST(Fabric, IncastSerializesAtIngress)
 {
     FabricHarness h(4);
-    std::vector<std::uint8_t> frame(20000, 0);
+    const WireFrame frame = wireFrameOf(20000);
     const Tick tx = h.fabric.txTicks(frame.size());
     const Tick prop = h.fabric.propagationTicks();
     // Nodes 1..3 converge on node 0 simultaneously.
@@ -282,7 +416,7 @@ TEST(Fabric, BatchingCoalescesSmallFrames)
     // 32 x 1 KB to the same flow while the egress is busy with the
     // first frame: the rest coalesce into few batches.
     for (int i = 0; i < 32; ++i) {
-        h.fabric.send(0, 1, std::vector<std::uint8_t>(1024, 0));
+        h.fabric.send(0, 1, wireFrameOf(1024));
     }
     h.eq.runAll();
     EXPECT_EQ(h.deliveries.size(), 32u);
@@ -301,10 +435,8 @@ TEST(Fabric, DeterministicAcrossRuns)
                 if (src == dst) {
                     continue;
                 }
-                h.fabric.send(
-                    src, dst,
-                    std::vector<std::uint8_t>(
-                        1000 + src * 100 + dst, 0));
+                h.fabric.send(src, dst,
+                              wireFrameOf(1000 + src * 100 + dst));
             }
         }
         h.eq.runAll();

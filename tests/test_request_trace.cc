@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for request-scoped distributed tracing: the seeded head-based
- * sampler, the CFRM frame trace-context extension (round trip and
- * negative decode paths), timeline segment conservation, end-to-end
- * serving timelines (stall spans exactly bracketing the credit-parked
- * interval), cycle-vs-fast byte-equality of the trace report, the
- * dataflow per-stage critical path under a deliberate straggler,
- * Distribution exemplar resolution, and the CreditManager
- * refund-ordering / stall-wakeup edge cases.
+ * sampler, the CFRM frame trace-context extension (round trip,
+ * negative decode paths, and its split wire form), timeline segment
+ * conservation, end-to-end serving timelines (stall spans exactly
+ * bracketing the credit-parked interval), cycle-vs-fast byte-equality
+ * of the trace report, the dataflow per-stage critical path under a
+ * deliberate straggler, Distribution exemplar resolution, and the
+ * CreditManager refund-ordering / stall-wakeup edge cases.
  */
 
 #include <gtest/gtest.h>
@@ -129,6 +129,41 @@ TEST(FrameTraceExt, RoundTripIsCanonical)
     EXPECT_EQ(encodeFrame(d), bytes);
 }
 
+/** @p f as the wire carries it: header inline, payload borrowed. */
+WireFrame
+wireFrameOf(const Frame &f)
+{
+    return encodeWireFrame(frameRef(f), fnv1a64(f.payload.data(),
+                                                f.payload.size()));
+}
+
+TEST(FrameTraceExt, WireFrameCarriesTheExtensionInline)
+{
+    const Frame f = tracedFrame();
+    const auto bytes = encodeFrame(f);
+    const WireFrame w = wireFrameOf(f);
+    EXPECT_EQ(w.headerLen, kFrameHeaderBytes + kFrameTraceExtBytes);
+    EXPECT_EQ(w.payload, f.payload.data()) << "payload was copied";
+    std::vector<std::uint8_t> joined(w.header.begin(),
+                                     w.header.begin() + w.headerLen);
+    joined.insert(joined.end(), w.payload, w.payload + w.payloadLen);
+    EXPECT_EQ(joined, bytes);
+
+    const Frame d = decodeFrame(bytes);
+    auto res = tryDecodeFrameInfo(w);
+    ASSERT_TRUE(res.ok()) << res.error().what();
+    const FrameInfo &info = res.value();
+    EXPECT_EQ(info.format, d.format);
+    EXPECT_EQ(info.flags, d.flags);
+    EXPECT_EQ(info.srcNode, d.srcNode);
+    EXPECT_EQ(info.dstNode, d.dstNode);
+    EXPECT_EQ(info.partition, d.partition);
+    EXPECT_TRUE(info.hasTrace());
+    EXPECT_EQ(info.traceId, d.traceId);
+    EXPECT_EQ(info.spanId, d.spanId);
+    EXPECT_EQ(info.payloadLen, d.payload.size());
+}
+
 TEST(FrameTraceExt, UntracedFramesAreUnchangedOnTheWire)
 {
     Frame f = tracedFrame();
@@ -140,36 +175,52 @@ TEST(FrameTraceExt, UntracedFramesAreUnchangedOnTheWire)
     EXPECT_FALSE(decodeFrame(bytes).hasTrace());
 }
 
+/** @p res failed with @p status at byte @p offset. */
+template <typename T>
+void
+expectError(const DecodeResult<T> &res, DecodeStatus status,
+            std::size_t offset)
+{
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().status(), status);
+    EXPECT_EQ(res.error().offset(), offset);
+}
+
 TEST(FrameTraceExt, NullTraceIdIsMalformed)
 {
     Frame f = tracedFrame();
     auto bytes = encodeFrame(f);
+    WireFrame w = wireFrameOf(f);
     // Zero the 8 trace-id bytes right after the header; the payload
     // checksum does not cover the extension, so this isolates the
     // null-id check.
     for (std::size_t i = 0; i < 8; ++i) {
         bytes[kFrameHeaderBytes + i] = 0;
+        w.header[kFrameHeaderBytes + i] = 0;
     }
-    auto res = tryDecodeFrame(bytes);
-    ASSERT_FALSE(res.ok());
-    EXPECT_EQ(res.error().status(), DecodeStatus::Malformed);
-    EXPECT_EQ(res.error().offset(), kFrameHeaderBytes);
+    expectError(tryDecodeFrame(bytes), DecodeStatus::Malformed,
+                kFrameHeaderBytes);
+    expectError(tryDecodeFrameInfo(w), DecodeStatus::Malformed,
+                kFrameHeaderBytes);
 }
 
 TEST(FrameTraceExt, NonZeroReservedWordIsMalformed)
 {
     Frame f = tracedFrame();
     auto bytes = encodeFrame(f);
+    WireFrame w = wireFrameOf(f);
     bytes[kFrameHeaderBytes + 12] = 0x01; // reserved word, must be zero
-    auto res = tryDecodeFrame(bytes);
-    ASSERT_FALSE(res.ok());
-    EXPECT_EQ(res.error().status(), DecodeStatus::Malformed);
-    EXPECT_EQ(res.error().offset(), kFrameHeaderBytes + 12);
+    w.header[kFrameHeaderBytes + 12] = 0x01;
+    expectError(tryDecodeFrame(bytes), DecodeStatus::Malformed,
+                kFrameHeaderBytes + 12);
+    expectError(tryDecodeFrameInfo(w), DecodeStatus::Malformed,
+                kFrameHeaderBytes + 12);
 }
 
 TEST(FrameTraceExt, TruncatedExtensionFailsCleanly)
 {
     const auto golden = encodeFrame(tracedFrame());
+    const WireFrame whole = wireFrameOf(tracedFrame());
     for (std::size_t n = kFrameHeaderBytes;
          n < kFrameHeaderBytes + kFrameTraceExtBytes; ++n) {
         std::vector<std::uint8_t> prefix(golden.begin(),
@@ -177,6 +228,13 @@ TEST(FrameTraceExt, TruncatedExtensionFailsCleanly)
         auto res = tryDecodeFrame(prefix);
         ASSERT_FALSE(res.ok()) << "ext prefix of " << n << " decoded";
         EXPECT_EQ(res.error().status(), DecodeStatus::Truncated);
+
+        // A split header cut inside its extension fails the same way.
+        WireFrame cut = whole;
+        cut.headerLen = static_cast<std::uint32_t>(n);
+        auto split = tryDecodeFrameInfo(cut);
+        ASSERT_FALSE(split.ok()) << "split ext prefix of " << n;
+        EXPECT_EQ(split.error().status(), DecodeStatus::Truncated);
     }
 }
 
