@@ -10,10 +10,10 @@
  *    rescheduling event chain with fan-out, events/second.
  *  - dram-stream: Dram::accessRange() streaming over a large span on
  *    the batched (non-observing) fast path, bursts/second.
- *  - cluster-serve-cycle / cluster-serve-fast: the full cluster
- *    serving experiment in cycle-accurate vs fast-forward mode,
- *    sim-ticks/second, with the fast/cycle wall-clock speedup in the
- *    summary.
+ *  - cluster-serve-cycle / cluster-serve-fast: the serving front
+ *    end's open loop (no admission control, no flow control) at 70%
+ *    load in cycle-accurate vs fast-forward mode, sim-ticks/second,
+ *    with the fast/cycle wall-clock speedup in the summary.
  *
  * Wall-clock rates jitter run to run, so this bench is *not* part of
  * the json_determinism gates and its baseline is compared with
@@ -31,6 +31,7 @@
 
 #include "bench/bench_util.hh"
 #include "cluster/cluster.hh"
+#include "cluster/serving.hh"
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
 
@@ -181,15 +182,15 @@ main(int argc, char **argv)
             cfg.scale = opts.scale;
             cfg.mode = mode;
             ClusterSim sim(cfg);
+            ServingConfig open;
+            open.utilization = kServeLoadPct / 100.0;
+            open.requestsPerNode = kRequestsPerNode;
+            open.flow.enabled = false;
             // Profile measurement happens in the ctor, outside the
             // timed region: this point times the event-driven run.
-            ServingResult res;
+            ServingFrontendResult res;
             r.wallSeconds = timeLoop(
-                [&] {
-                    res = sim.runServing(kServeLoadPct / 100.0,
-                                         kRequestsPerNode);
-                },
-                r.repeats);
+                [&] { res = runServingFrontend(sim, open); }, r.repeats);
             r.units = static_cast<std::uint64_t>(
                 res.durationSeconds *
                 static_cast<double>(kTicksPerSecond));

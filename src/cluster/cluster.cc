@@ -1,15 +1,12 @@
 #include "cluster/cluster.hh"
 
 #include <cmath>
-#include <deque>
 #include <unordered_map>
 #include <utility>
 
 #include "cluster/frame.hh"
 #include "cluster/worker.hh"
-#include "metrics/metrics.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 #include "trace/trace.hh"
 
 namespace cereal {
@@ -178,132 +175,6 @@ ClusterSim::runShuffle() const
              "shuffle lost partitions (%llu of %llu finished)",
              (unsigned long long)out.latency.count,
              (unsigned long long)out.frames);
-    return out;
-}
-
-ServingResult
-ClusterSim::runServing(double utilization,
-                       std::uint64_t requests_per_node) const
-{
-    panic_if(utilization <= 0, "serving utilization must be > 0");
-    panic_if(requests_per_node == 0 || requests_per_node > 0xffff,
-             "requests per node out of range");
-
-    const unsigned n = cfg_.nodes;
-    const NodeProfile &prof = cost_.profile();
-    const Tick ser = secondsToTicks(cost_.serializeSeconds());
-    const Tick deser = secondsToTicks(cost_.deserializeSeconds());
-    const double lambda = utilization * nodeCapacityRps();
-
-    EventQueue eq;
-    const bool observe = simModeObserves(cfg_.mode);
-    const auto em = observe ? trace::current() : trace::TraceEmitter();
-    std::vector<Worker> workers(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        workers[i].eq = &eq;
-        if (observe) {
-            workers[i].initMetrics(i);
-        }
-        if (em.enabled()) {
-            workers[i].trace =
-                em.sub(("node" + std::to_string(i)).c_str());
-        }
-    }
-
-    stats::Distribution latency;
-    std::unordered_map<std::uint32_t, Tick> arrival;
-    std::uint64_t completed = 0;
-    Tick last_done = 0;
-
-    Fabric fabric(eq, n, cfg_.net,
-                  [&](std::uint32_t dst, const WireFrame &frame) {
-        auto res = tryDecodeFrameInfo(frame);
-        panic_if(!res.ok(), "fabric delivered a corrupt frame: %s",
-                 res.error().what());
-        const FrameInfo &info = res.value();
-        panic_if(info.checksum != payloadChecksum_ ||
-                     info.payloadLen != prof.payload.size(),
-                 "fabric delivered a corrupt frame (payload digest"
-                 " mismatch on request %u)", info.partition);
-        const std::uint32_t request = info.partition;
-        workers[dst].enqueue(deser, "deser", [&, request] {
-            latency.sample(ticksToSeconds(eq.now() - arrival.at(request)));
-            ++completed;
-            last_done = eq.now();
-        });
-    });
-    fabric.setTrace(em.sub("fabric"));
-
-    // Sampled mode simulates only the first quarter (rounded up) of
-    // each node's arrival process. The sample is a prefix of the same
-    // per-node Poisson draw, so its arrivals coincide with the full
-    // run's early arrivals and the queueing dynamics stay faithful.
-    const std::uint64_t sim_rpn =
-        cfg_.mode == SimMode::Sampled ? (requests_per_node + 3) / 4
-                                      : requests_per_node;
-
-    latency.reserve(static_cast<std::size_t>(n) * sim_rpn);
-    arrival.reserve(static_cast<std::size_t>(n) * sim_rpn);
-    eq.reserve(static_cast<std::size_t>(n) * sim_rpn + 16);
-
-    // Open loop: pre-draw every node's Poisson arrival process and the
-    // uniform peer destinations from the per-node seeded Rng.
-    for (std::uint32_t origin = 0; origin < n; ++origin) {
-        Rng rng(cfg_.seed * 0x51ed2701ULL + origin);
-        double t = 0;
-        for (std::uint64_t k = 0; k < sim_rpn; ++k) {
-            t += -std::log(1.0 - rng.uniform()) / lambda;
-            std::uint32_t dst =
-                static_cast<std::uint32_t>(rng.below(n - 1));
-            if (dst >= origin) {
-                ++dst; // uniform over the n-1 peers
-            }
-            const std::uint32_t request =
-                origin * 0x10000u + static_cast<std::uint32_t>(k);
-            const Tick at = secondsToTicks(t);
-            arrival[request] = at;
-            eq.schedule(at, [&, origin, dst, request] {
-                workers[origin].enqueue(ser, "ser",
-                                        [&, origin, dst, request] {
-                    FrameRef f;
-                    f.format = backendFormatId(cfg_.backend);
-                    f.flags = prof.compressed
-                        ? kFrameFlagCompressed : 0;
-                    f.srcNode = origin;
-                    f.dstNode = dst;
-                    f.partition = request;
-                    f.payload = prof.payload.data();
-                    f.payloadLen = prof.payload.size();
-                    fabric.send(origin, dst,
-                                encodeWireFrame(f, payloadChecksum_));
-                });
-            });
-        }
-    }
-
-    // Functional warm-up: jump straight to the first arrival instead
-    // of entering the run through the idle gap before it. Safe under
-    // observation too — no pending event is skipped, so every trace
-    // span and metrics sample lands on the same tick either way.
-    if (!eq.empty()) {
-        eq.fastForward(eq.nextEventTick());
-    }
-
-    eq.runAll();
-
-    ServingResult out;
-    out.offeredRps = lambda * static_cast<double>(n);
-    out.requests = static_cast<std::uint64_t>(n) * sim_rpn;
-    out.completed = completed;
-    out.durationSeconds = ticksToSeconds(last_done);
-    out.achievedRps = out.durationSeconds > 0
-        ? static_cast<double>(completed) / out.durationSeconds
-        : 0;
-    out.latency = LatencySummary::of(latency);
-    panic_if(out.completed != out.requests,
-             "serving lost requests (%llu of %llu finished)",
-             (unsigned long long)out.completed,
-             (unsigned long long)out.requests);
     return out;
 }
 

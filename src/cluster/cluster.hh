@@ -4,22 +4,16 @@
  *
  * N executors, each with one serializer worker (a FIFO queue serving
  * both serialize and deserialize jobs at the measured per-partition
- * cost) and one full-duplex link into the switch fabric. Two drive
- * modes:
+ * cost) and one full-duplex link into the switch fabric.
  *
- *  - runShuffle(): the Spark all-to-all — every node serializes one
- *    partition for each peer at t=0, frames cross the fabric, and the
- *    receivers deserialize. Reports completion time, throughput, and
- *    the per-partition latency distribution (serialize-enqueue to
- *    deserialize-done), where the tail comes from worker queueing and
- *    ingress incast.
- *
- *  - runServing(): an open-loop serving experiment — Poisson request
- *    arrivals at a chosen fraction of the node's measured capacity,
- *    each request serializing on its origin, crossing the fabric, and
- *    deserializing on a uniformly chosen peer. Reports offered vs
- *    achieved throughput and p50/p95/p99 sojourn latency, mapping the
- *    latency-throughput curve the paper's serving claim rests on.
+ * runShuffle() drives the Spark all-to-all: every node serializes one
+ * partition for each peer at t=0, frames cross the fabric, and the
+ * receivers deserialize. It reports completion time, throughput, and
+ * the per-partition latency distribution (serialize-enqueue to
+ * deserialize-done), where the tail comes from worker queueing and
+ * ingress incast. Serving experiments run on the same profile through
+ * runServingFrontend() (serving.hh), whose open configuration is the
+ * open-loop latency-throughput sweep.
  *
  * Every frame on the wire is a real encoded partition frame; the
  * receive path decodes it (frame.hh) before queueing the deserialize
@@ -57,7 +51,7 @@ struct ClusterConfig
      * Fidelity mode (defaults to the ambient global). FastForward
      * preserves every reported stat byte-identically with
      * observability off; Sampled additionally simulates only a prefix
-     * of each serving run's arrivals (see runServing()).
+     * of each serving run's arrivals (see runServingFrontend()).
      */
     SimMode mode = globalSimMode();
     NetConfig net;
@@ -95,20 +89,6 @@ struct ShuffleResult
     /** Wire bytes / completion seconds. */
     double throughputMBps = 0;
     /** Per-partition serialize-enqueue to deserialize-done seconds. */
-    LatencySummary latency;
-};
-
-/** Outcome of one open-loop serving run. */
-struct ServingResult
-{
-    /** Requested arrival rate, requests/second across the cluster. */
-    double offeredRps = 0;
-    /** Completions / makespan. */
-    double achievedRps = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t completed = 0;
-    double durationSeconds = 0;
-    /** Per-request arrival to deserialize-done seconds. */
     LatencySummary latency;
 };
 
@@ -150,19 +130,6 @@ class ClusterSim
     double nodeCapacityRps() const;
 
     ShuffleResult runShuffle() const;
-
-    /**
-     * @param utilization offered load as a fraction of
-     *        nodeCapacityRps() (must be > 0; stable below 1)
-     * @param requests_per_node arrivals generated per node
-     *
-     * In Sampled mode only the first quarter (rounded up) of each
-     * node's arrival process is simulated; the reported request count
-     * reflects the sample and percentiles are estimates whose error
-     * the differential suite bounds.
-     */
-    ServingResult runServing(double utilization,
-                             std::uint64_t requests_per_node = 200) const;
 
   private:
     ClusterConfig cfg_;

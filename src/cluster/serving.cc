@@ -104,9 +104,9 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     const double flashEnd =
         flash ? (flash->start + flash->duration) * horizon : 0;
 
-    // Sampled mode simulates a prefix of each node's stream (the
-    // runServing() convention); the generator's draw is unchanged, so
-    // the sampled arrivals coincide with the full run's early ones.
+    // Sampled mode simulates a prefix of each node's stream; the
+    // generator's draw is unchanged, so the sampled arrivals coincide
+    // with the full run's early ones.
     const std::uint64_t sim_rpn = cc.mode == SimMode::Sampled
         ? (cfg.requestsPerNode + 3) / 4
         : cfg.requestsPerNode;
@@ -478,7 +478,7 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     out.creditsReturned = credits.returned();
     out.creditsConserved = credits.issued() == credits.returned() &&
                            credits.allWindowsFull();
-    out.reqTrace = reqTrace.report(latency);
+    out.reqTrace = std::move(reqTrace).report(latency);
     if (observe && metrics::current() != nullptr) {
         metrics::current()->recordHistogram(
             "serving.latency_seconds",

@@ -4,10 +4,11 @@
  * control, and credit-based flow control in front of the per-node
  * serializer workers.
  *
- * runServing() (cluster.hh) models the textbook open loop: Poisson
- * arrivals are all admitted, queues are unbounded, and past the
- * saturation knee the tail latency diverges. This layer models what a
- * production front end actually does with the same serializer stack:
+ * This is the simulator's one serving engine. With
+ * AdmissionPolicy::None and flow control off it is the textbook open
+ * loop: every arrival is admitted, queues are unbounded, and past the
+ * saturation knee the tail latency diverges. The other settings model
+ * what a production front end does with the same serializer stack:
  *
  *  - Arrivals come from a LoadGenerator (src/load): a large simulated
  *    client population whose aggregate rate follows a composable
@@ -165,8 +166,10 @@ struct ServingFrontendResult
 
 /**
  * Run the serving front-end experiment on @p sim. Deterministic in
- * (sim config, cfg); in Sampled mode only the first quarter of each
- * node's arrival stream is simulated (the runServing() convention).
+ * (sim config, cfg). In Sampled mode only the first quarter (rounded
+ * up) of each node's arrival stream is simulated; the reported request
+ * count reflects the sample, and the percentiles are estimates whose
+ * error the differential suite bounds.
  */
 ServingFrontendResult runServingFrontend(const ClusterSim &sim,
                                          const ServingConfig &cfg);

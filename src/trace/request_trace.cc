@@ -1,5 +1,7 @@
 #include "trace/request_trace.hh"
 
+#include <utility>
+
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -167,7 +169,7 @@ RequestTraceRecorder::find(std::uint64_t trace_id) const
 }
 
 RequestTraceReport
-RequestTraceRecorder::report(const stats::Distribution &latency) const
+RequestTraceRecorder::report(const stats::Distribution &latency) &&
 {
     RequestTraceReport r;
     r.requests = requests_;
@@ -194,7 +196,7 @@ RequestTraceRecorder::report(const stats::Distribution &latency) const
         r.p999 = *t;
     }
     r.tail = tailAttribution(timelines_, 0.99);
-    r.timelines = timelines_;
+    r.timelines = std::move(timelines_);
     return r;
 }
 

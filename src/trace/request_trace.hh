@@ -236,9 +236,10 @@ class RequestTraceRecorder
     /**
      * Build the aggregate report, resolving the p99/p999 exemplar ids
      * of @p latency (stats::Distribution::exemplarAt) against the
-     * recorded timelines.
+     * recorded timelines. The timelines move into the report, so the
+     * recorder is spent afterwards.
      */
-    RequestTraceReport report(const stats::Distribution &latency) const;
+    RequestTraceReport report(const stats::Distribution &latency) &&;
 
   private:
     RequestTraceConfig cfg_;

@@ -6,8 +6,8 @@
  * timing (zero-load latency, in-place payload delivery, per-flow
  * fairness, incast serialization, batching), and the event-driven
  * cluster simulation (all-to-all completeness, latency percentiles,
- * load response, determinism, and
- * the Cereal-dominance property the bench asserts at full scale).
+ * open-loop serving load response, determinism, and the
+ * Cereal-dominance property the knee bench asserts at full scale).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "cluster/fabric.hh"
 #include "cluster/frame.hh"
 #include "cluster/node.hh"
+#include "cluster/serving.hh"
 
 namespace cereal {
 namespace {
@@ -514,17 +515,28 @@ TEST(ClusterShuffle, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(ra.latency.p95, ra2.latency.p95);
 }
 
+/** The serving front end's open loop: all admitted, no credits. */
+cluster::ServingFrontendResult
+serveOpen(const ClusterSim &sim, double utilization)
+{
+    cluster::ServingConfig cfg;
+    cfg.utilization = utilization;
+    cfg.requestsPerNode = 100;
+    cfg.flow.enabled = false;
+    return cluster::runServingFrontend(sim, cfg);
+}
+
 TEST(ClusterServing, CompletesAllRequestsAndTailGrowsWithLoad)
 {
     ClusterSim sim(tinyConfig(Backend::Kryo));
-    auto low = sim.runServing(0.4, 100);
-    auto high = sim.runServing(0.95, 100);
+    auto low = serveOpen(sim, 0.4);
+    auto high = serveOpen(sim, 0.95);
 
     EXPECT_EQ(low.completed, low.requests);
     EXPECT_EQ(high.completed, high.requests);
     EXPECT_GT(low.offeredRps, 0.0);
     EXPECT_GT(high.offeredRps, low.offeredRps);
-    EXPECT_GT(high.achievedRps, low.achievedRps);
+    EXPECT_GT(high.goodputRps, low.goodputRps);
     // Open-loop queueing: more load, fatter tail.
     EXPECT_GE(high.latency.p99, low.latency.p99);
     EXPECT_LE(low.latency.p50, low.latency.p99);
@@ -534,24 +546,24 @@ TEST(ClusterServing, DeterministicAcrossRuns)
 {
     ClusterSim a(tinyConfig(Backend::Cereal));
     ClusterSim b(tinyConfig(Backend::Cereal));
-    auto ra = a.runServing(0.7, 100);
-    auto rb = b.runServing(0.7, 100);
-    EXPECT_DOUBLE_EQ(ra.achievedRps, rb.achievedRps);
+    auto ra = serveOpen(a, 0.7);
+    auto rb = serveOpen(b, 0.7);
+    EXPECT_DOUBLE_EQ(ra.goodputRps, rb.goodputRps);
     EXPECT_DOUBLE_EQ(ra.latency.p99, rb.latency.p99);
     EXPECT_DOUBLE_EQ(ra.durationSeconds, rb.durationSeconds);
 }
 
 TEST(ClusterServing, CerealDominatesJavaFrontier)
 {
-    // The bench asserts this across all backends and load points at
-    // full scale; pin the headline pair here at test scale.
+    // bench_serving_knee asserts this across all backends and load
+    // points at full scale; pin the headline pair here at test scale.
     ClusterSim java(tinyConfig(Backend::Java));
     ClusterSim cer(tinyConfig(Backend::Cereal));
     EXPECT_GT(cer.nodeCapacityRps(), java.nodeCapacityRps());
 
-    auto js = java.runServing(0.7, 100);
-    auto cs = cer.runServing(0.7, 100);
-    EXPECT_GT(cs.achievedRps, js.achievedRps);
+    auto js = serveOpen(java, 0.7);
+    auto cs = serveOpen(cer, 0.7);
+    EXPECT_GT(cs.goodputRps, js.goodputRps);
     EXPECT_LT(cs.latency.p99, js.latency.p99);
 
     EXPECT_LT(cer.runShuffle().completionSeconds,
