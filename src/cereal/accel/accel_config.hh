@@ -6,7 +6,6 @@
 #ifndef CEREAL_CEREAL_ACCEL_ACCEL_CONFIG_HH
 #define CEREAL_CEREAL_ACCEL_ACCEL_CONFIG_HH
 
-#include "sim/sim_mode.hh"
 #include "sim/types.hh"
 
 namespace cereal {
@@ -16,13 +15,6 @@ struct AccelConfig
 {
     /** Accelerator clock, MHz (40 nm synthesis target). */
     double freqMHz = 1000;
-
-    /**
-     * Fidelity mode (defaults to the ambient global). Non-observing
-     * modes skip metrics registration and ignore setTrace(); every
-     * reported operation result stays byte-identical.
-     */
-    SimMode mode = globalSimMode();
 
     /** Serialization units (Table I: 8). */
     unsigned numSU = 8;

@@ -20,9 +20,7 @@ CerealDevice::CerealDevice(Dram &dram, const AccelConfig &cfg)
             std::make_unique<Mai>(dram, cfg_.maiEntries, &tlb_));
     }
 
-    if (simModeObserves(cfg_.mode)) {
-        metrics_ = metrics::Group(metrics::current(), "cereal.accel");
-    }
+    metrics_ = metrics::Group(metrics::current(), "cereal.accel");
     if (metrics_.enabled()) {
         // Busy ticks accumulate monotonically (resetBusyStats() has no
         // in-tree callers), so rate deltas stay non-negative.
@@ -151,7 +149,7 @@ CerealDevice::setTrace(const trace::TraceEmitter &em)
 {
     suTrace_.clear();
     duTrace_.clear();
-    if (!em.enabled() || !simModeObserves(cfg_.mode)) {
+    if (!em.enabled()) {
         return;
     }
     for (unsigned i = 0; i < cfg_.numSU; ++i) {

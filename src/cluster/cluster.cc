@@ -60,7 +60,6 @@ ClusterSim::ClusterSim(ClusterConfig cfg) : cfg_(std::move(cfg))
     nc.app = cfg_.app;
     nc.scale = cfg_.scale;
     nc.seed = cfg_.seed;
-    nc.mode = cfg_.mode;
     cost_ = BackendCostModel::measure(nc);
 
     // Hash the payload once; every frame this cluster sends carries the
@@ -96,14 +95,11 @@ ClusterSim::runShuffle() const
     const Tick deser = secondsToTicks(cost_.deserializeSeconds());
 
     EventQueue eq;
-    const bool observe = simModeObserves(cfg_.mode);
-    const auto em = observe ? trace::current() : trace::TraceEmitter();
+    const auto em = trace::current();
     std::vector<Worker> workers(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         workers[i].eq = &eq;
-        if (observe) {
-            workers[i].initMetrics(i);
-        }
+        workers[i].initMetrics(i);
         if (em.enabled()) {
             workers[i].trace =
                 em.sub(("node" + std::to_string(i)).c_str());

@@ -31,7 +31,6 @@
 #include "cluster/fabric.hh"
 #include "cluster/node.hh"
 #include "sim/json.hh"
-#include "sim/sim_mode.hh"
 #include "sim/stats.hh"
 
 namespace cereal {
@@ -47,13 +46,6 @@ struct ClusterConfig
     /** Scale divisor for the per-partition object count. */
     std::uint64_t scale = 64;
     std::uint64_t seed = 1;
-    /**
-     * Fidelity mode (defaults to the ambient global). FastForward
-     * preserves every reported stat byte-identically with
-     * observability off; Sampled additionally simulates only a prefix
-     * of each serving run's arrivals (see runServingFrontend()).
-     */
-    SimMode mode = globalSimMode();
     NetConfig net;
 };
 

@@ -18,8 +18,8 @@
  * bytes / measured stream bytes. That is a deliberate linearization —
  * per-object constants are averaged into the per-byte rate — and it
  * keeps operator timing a pure function of the one measured profile,
- * which is what makes cached profiles and the fast-mode equivalence
- * contract carry over to the dataflow engine unchanged.
+ * which is what lets cached profiles carry over to the dataflow
+ * engine unchanged.
  */
 
 #ifndef CEREAL_CLUSTER_COST_MODEL_HH

@@ -74,8 +74,8 @@ struct NodeConfig
     /** Scale divisor for the per-partition object count. */
     std::uint64_t scale = 64;
     std::uint64_t seed = 1;
-    /** Fidelity mode forwarded into the timing models. */
-    SimMode mode = globalSimMode();
+    /** Unread; see sim/sim_mode.hh. */
+    SimMode mode = SimMode::CycleAccurate;
 };
 
 /**

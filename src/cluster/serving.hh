@@ -118,8 +118,8 @@ struct ServingConfig
      * Request tracing: every request gets a trace id; sampled ones
      * (head-based, seeded) carry it across the fabric in the frame's
      * trace extension and leave a conservation-checked timeline in the
-     * result's RequestTraceReport. Part of the reported stats — NOT
-     * gated on sim mode, byte-identical cycle vs fast.
+     * result's RequestTraceReport. Part of the reported stats, so it
+     * runs whether or not a trace sink is attached.
      */
     trace::RequestTraceConfig reqTrace;
 };
@@ -166,10 +166,7 @@ struct ServingFrontendResult
 
 /**
  * Run the serving front-end experiment on @p sim. Deterministic in
- * (sim config, cfg). In Sampled mode only the first quarter (rounded
- * up) of each node's arrival stream is simulated; the reported request
- * count reflects the sample, and the percentiles are estimates whose
- * error the differential suite bounds.
+ * (sim config, cfg).
  */
 ServingFrontendResult runServingFrontend(const ClusterSim &sim,
                                          const ServingConfig &cfg);

@@ -8,15 +8,13 @@
 namespace cereal {
 
 CoreModel::CoreModel(Dram &dram, const CoreConfig &cfg, Tick start_tick)
-    : dram_(&dram), cfg_(cfg), observe_(simModeObserves(cfg.mode)),
+    : dram_(&dram), cfg_(cfg),
       l1_(cfg.l1), l2_(cfg.l2), l3_(cfg.l3),
-      startTick_(start_tick), period_(periodFromMHz(cfg.freqMHz))
+      startTick_(start_tick), period_(periodFromMHz(cfg.freqMHz)),
+      metrics_(metrics::current(), "cpu.core")
 {
     dramBytesAtStart_ = dram.bytesRead() + dram.bytesWritten();
 
-    if (observe_) {
-        metrics_ = metrics::Group(metrics::current(), "cpu.core");
-    }
     if (metrics_.enabled()) {
         metrics_.gauge("miss_window",
                        "outstanding overlapped DRAM misses",
@@ -56,9 +54,6 @@ CoreModel::curTick() const
 void
 CoreModel::setTrace(trace::TraceEmitter em)
 {
-    if (!observe_) {
-        return;
-    }
     trace_ = std::move(em);
     phaseName_ = "run";
     phaseStart_ = curTick();
@@ -113,7 +108,7 @@ CoreModel::waitForWindowSlot()
                       static_cast<double>(period_);
         }
     }
-    if (observe_ && curTick() > stallFrom) {
+    if (curTick() > stallFrom) {
         mlpStallTicks_ += curTick() - stallFrom;
         trace_.span("mlp_stall", stallFrom, curTick());
     }
@@ -157,7 +152,7 @@ CoreModel::lineAccess(Addr line_addr, bool write, bool dependent)
         cycles_ = std::max(
             cycles_, static_cast<double>(res.completeTick - startTick_) /
                          static_cast<double>(period_));
-        if (observe_ && curTick() > stallFrom) {
+        if (curTick() > stallFrom) {
             depStallTicks_ += curTick() - stallFrom;
             trace_.span("dep_stall", stallFrom, curTick());
         }
@@ -227,7 +222,7 @@ CoreModel::drain()
                       static_cast<double>(period_);
         }
     }
-    if (observe_ && curTick() > stallFrom) {
+    if (curTick() > stallFrom) {
         mlpStallTicks_ += curTick() - stallFrom;
         trace_.span("mlp_stall", stallFrom, curTick());
     }

@@ -43,17 +43,14 @@ constexpr std::size_t kPageRankDegree = 4;
  * Measure one node-local operator pass: run it functionally while it
  * narrates into a CPU core model, return the simulated seconds. The
  * measurement is a pure function of the records and the operator, so
- * it is identical across sim modes (the core-model equivalence
- * contract) and across threads.
+ * it is identical across threads and whether or not it is observed.
  */
 double
-timeOp(SimMode mode, const std::function<void(MemSink *)> &body)
+timeOp(const std::function<void(MemSink *)> &body)
 {
     EventQueue eq;
     Dram dram("dram.dataflow", eq);
-    CoreConfig cc;
-    cc.mode = mode;
-    CoreModel core(dram, cc);
+    CoreModel core(dram);
     body(&core);
     return core.finish().seconds;
 }
@@ -76,8 +73,7 @@ class StageEngine
     explicit StageEngine(const DataflowConfig &cfg)
         : cfg_(cfg),
           codec_(cfg.backend),
-          observe_(simModeObserves(cfg.mode)),
-          em_(observe_ ? trace::current() : trace::TraceEmitter()),
+          em_(trace::current()),
           workers_(cfg.nodes),
           fabric_(eq_, cfg.nodes, cfg.net,
                   [this](std::uint32_t dst, const WireFrame &frame) {
@@ -93,13 +89,10 @@ class StageEngine
         nc.app = "Terasort";
         nc.scale = cfg_.profileScale;
         nc.seed = cfg_.seed;
-        nc.mode = cfg_.mode;
         cost_ = cluster::BackendCostModel::measure(nc);
         for (std::uint32_t i = 0; i < cfg_.nodes; ++i) {
             workers_[i].eq = &eq_;
-            if (observe_) {
-                workers_[i].initMetrics(i);
-            }
+            workers_[i].initMetrics(i);
             if (em_.enabled()) {
                 workers_[i].trace =
                     em_.sub(("node" + std::to_string(i)).c_str());
@@ -195,7 +188,6 @@ class StageEngine
     const DataflowConfig cfg_;
     BatchCodec codec_;
     cluster::BackendCostModel cost_;
-    const bool observe_;
     trace::TraceEmitter em_;
     EventQueue eq_;
     std::vector<cluster::Worker> workers_;
@@ -233,7 +225,7 @@ StageEngine::runStage(const Stage &st,
     std::vector<double> mapSeconds(n, 0);
     for (std::uint32_t i = 0; i < n; ++i) {
         if (st.map != nullptr) {
-            mapSeconds[i] = timeOp(cfg_.mode, [&](MemSink *s) {
+            mapSeconds[i] = timeOp([&](MemSink *s) {
                 mapped[i] = st.map->apply(std::move(in[i]), i, s);
             });
         } else {
@@ -313,7 +305,7 @@ StageEngine::runStage(const Stage &st,
     std::vector<std::vector<Record>> out(n);
     std::vector<double> postSeconds(n, 0);
     for (std::uint32_t dst = 0; dst < n; ++dst) {
-        postSeconds[dst] = timeOp(cfg_.mode, [&](MemSink *s) {
+        postSeconds[dst] = timeOp([&](MemSink *s) {
             auto combined = gather->combine(std::move(runs[dst]), dst, s);
             out[dst] = st.reduce != nullptr
                 ? st.reduce->apply(std::move(combined), dst, s)

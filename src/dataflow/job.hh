@@ -23,7 +23,7 @@
  *
  *  - Determinism: all functional results (outputs, checksums,
  *    invariants) are pure functions of the config, byte-identical
- *    across sim modes, thread counts, and serializer backends.
+ *    across observation, thread counts, and serializer backends.
  *
  * Jobs: wordcount (reduce-by-key with a spilling pre-combine),
  * terasort (sample sort: splitter sampling stage, then sorted runs
@@ -78,7 +78,8 @@ struct DataflowConfig
     unsigned stragglerNode = 0;
     /** PageRank iterations. */
     unsigned iterations = 3;
-    SimMode mode = globalSimMode();
+    /** Unread; see sim/sim_mode.hh. */
+    SimMode mode = SimMode::CycleAccurate;
     NetConfig net;
     /** Scale of the profiled yardstick partition (see cost model). */
     std::uint64_t profileScale = 64;

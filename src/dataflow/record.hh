@@ -116,8 +116,8 @@ hashBytes(const void *data, std::size_t n,
 /**
  * Order-sensitive digest of a record sequence (length-prefixed keys
  * and values). Jobs hash their final per-node outputs in node order;
- * the differential suite pins the digest across backends, thread
- * counts, and sim modes.
+ * the differential suite pins the digest across backends and thread
+ * counts.
  */
 std::uint64_t recordsChecksum(const std::vector<Record> &records);
 

@@ -1,25 +1,13 @@
 /**
  * @file
- * Arena/pool allocation layer for the simulator's own hot paths.
+ * Flat backing store for the modeled heap, plus the ASan poison
+ * helpers it uses.
  *
- * The simulator pays for allocation twice: once in the *modeled* heap
- * (src/heap) and once in its own event loop (callback captures,
- * per-request bookkeeping). This header removes the second cost:
- *
- *  - Arena: a chunked bump allocator. alloc() is a pointer increment;
- *    reset() rewinds without returning chunks to the OS, so steady-state
- *    simulation loops allocate zero bytes from the global heap.
- *  - Pool<T>: a typed free-list over an Arena. acquire()/release()
- *    recycle fixed-size slots; released slots are ASan-poisoned so
- *    use-after-release is caught under sanitizers.
- *  - ContiguousBuffer: a geometrically growing flat byte buffer for the
- *    modeled heap's backing store. Unlike std::vector it exposes
- *    claimZeroed() so only the bytes actually handed out are zeroed,
- *    and growth keeps the base pointer semantics the Heap needs.
- *
- * Everything here is single-threaded by design, like the EventQueue:
- * one simulated machine lives on one host thread; concurrent sweep
- * points each build their own arenas.
+ * ContiguousBuffer is a geometrically growing flat byte buffer. Unlike
+ * std::vector it exposes claimZeroed() so only the bytes actually
+ * handed out are zeroed, and growth keeps the base pointer semantics
+ * the Heap needs. Single-threaded by design, like the EventQueue: one
+ * simulated machine lives on one host thread.
  */
 
 #ifndef CEREAL_SIM_ARENA_HH
@@ -27,15 +15,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <utility>
-#include <vector>
-
-#include "sim/logging.hh"
-#include "sim/types.hh"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer)
@@ -75,235 +57,6 @@ unpoison(void *p, std::size_t n)
     (void)n;
 #endif
 }
-
-/**
- * Chunked bump allocator.
- *
- * alloc() carves aligned spans out of geometrically growing chunks;
- * requests larger than a chunk get a dedicated chunk. reset() rewinds
- * every chunk for reuse (and re-poisons the free space under ASan), so
- * an arena that has warmed up to its high-water mark never touches the
- * global heap again.
- */
-class Arena
-{
-  public:
-    /** @param chunk_bytes size of the first chunk (doubles as needed) */
-    explicit Arena(std::size_t chunk_bytes = 64 * 1024)
-        : nextChunkBytes_(chunk_bytes)
-    {
-        panic_if(chunk_bytes == 0, "zero arena chunk size");
-    }
-
-    Arena(const Arena &) = delete;
-    Arena &operator=(const Arena &) = delete;
-
-    ~Arena()
-    {
-        // Unpoison before the chunks are returned to the allocator:
-        // freed-but-poisoned pages would trip ASan inside free().
-        for (auto &c : chunks_) {
-            unpoison(c.data.get(), c.size);
-        }
-    }
-
-    /** Allocate @p bytes aligned to @p align (a power of two). */
-    void *
-    alloc(std::size_t bytes, std::size_t align = alignof(std::max_align_t))
-    {
-        panic_if(!isPowerOf2(align), "arena alignment must be 2^n");
-        if (bytes == 0) {
-            bytes = 1;
-        }
-        if (cur_ < chunks_.size()) {
-            Chunk &c = chunks_[cur_];
-            const std::size_t at = alignedOffset(c, align);
-            if (at + bytes <= c.size) {
-                c.used = at + bytes;
-                void *p = c.data.get() + at;
-                unpoison(p, bytes);
-                bytesInUse_ += bytes;
-                return p;
-            }
-        }
-        return allocSlow(bytes, align);
-    }
-
-    /** Typed convenience: allocate and default-construct one T. */
-    template <typename T, typename... Args>
-    T *
-    make(Args &&...args)
-    {
-        void *p = alloc(sizeof(T), alignof(T));
-        return new (p) T(std::forward<Args>(args)...);
-    }
-
-    /**
-     * Rewind every chunk. Previously handed-out spans become invalid
-     * (and poisoned under ASan); the chunk memory is retained so the
-     * next fill cycle allocates nothing from the global heap.
-     */
-    void
-    reset()
-    {
-        for (auto &c : chunks_) {
-            c.used = 0;
-            poison(c.data.get(), c.size);
-        }
-        cur_ = chunks_.empty() ? 0 : 0;
-        bytesInUse_ = 0;
-    }
-
-    /** Bytes handed out since construction/reset (excludes padding). */
-    std::size_t bytesInUse() const { return bytesInUse_; }
-
-    /** Total bytes owned across all chunks. */
-    std::size_t
-    bytesReserved() const
-    {
-        std::size_t total = 0;
-        for (const auto &c : chunks_) {
-            total += c.size;
-        }
-        return total;
-    }
-
-    /** Number of chunks acquired from the global heap. */
-    std::size_t chunkCount() const { return chunks_.size(); }
-
-  private:
-    struct Chunk
-    {
-        std::unique_ptr<std::uint8_t[]> data;
-        std::size_t size = 0;
-        std::size_t used = 0;
-    };
-
-    static std::size_t
-    alignUp(std::size_t v, std::size_t align)
-    {
-        return (v + align - 1) & ~(align - 1);
-    }
-
-    /**
-     * First offset >= used at which base + offset is @p align-aligned.
-     * Alignment is a property of the absolute address, not the chunk
-     * offset — the chunk base is only max_align_t-aligned.
-     */
-    static std::size_t
-    alignedOffset(const Chunk &c, std::size_t align)
-    {
-        const auto base = reinterpret_cast<std::uintptr_t>(c.data.get());
-        return alignUp(base + c.used, align) - base;
-    }
-
-    void *
-    allocSlow(std::size_t bytes, std::size_t align)
-    {
-        // Try later (already-reset) chunks before growing.
-        for (std::size_t i = cur_ + 1; i < chunks_.size(); ++i) {
-            Chunk &c = chunks_[i];
-            const std::size_t at = alignedOffset(c, align);
-            if (at + bytes <= c.size) {
-                cur_ = i;
-                c.used = at + bytes;
-                void *p = c.data.get() + at;
-                unpoison(p, bytes);
-                bytesInUse_ += bytes;
-                return p;
-            }
-        }
-        std::size_t size = nextChunkBytes_;
-        while (size < bytes + align) {
-            size *= 2;
-        }
-        nextChunkBytes_ = size * 2;
-        Chunk c;
-        c.data = std::make_unique<std::uint8_t[]>(size);
-        c.size = size;
-        poison(c.data.get(), size);
-        chunks_.push_back(std::move(c));
-        cur_ = chunks_.size() - 1;
-        Chunk &nc = chunks_.back();
-        const std::size_t at = alignedOffset(nc, align);
-        nc.used = at + bytes;
-        void *p = nc.data.get() + at;
-        unpoison(p, bytes);
-        bytesInUse_ += bytes;
-        return p;
-    }
-
-    std::vector<Chunk> chunks_;
-    std::size_t cur_ = 0;
-    std::size_t nextChunkBytes_;
-    std::size_t bytesInUse_ = 0;
-};
-
-/**
- * Typed object pool: a free list of T slots carved from an Arena.
- *
- * acquire() constructs in a recycled (or freshly carved) slot; release()
- * destroys and poisons the slot. After warm-up the pool's steady state
- * performs zero global-heap allocations.
- */
-template <typename T>
-class Pool
-{
-  public:
-    explicit Pool(std::size_t chunk_bytes = 64 * 1024)
-        : arena_(chunk_bytes)
-    {
-    }
-
-    Pool(const Pool &) = delete;
-    Pool &operator=(const Pool &) = delete;
-
-    ~Pool()
-    {
-        panic_if(live_ != 0, "Pool destroyed with %zu live objects",
-                 live_);
-        // Slots on the free list are poisoned; unpoisoning happens in
-        // ~Arena before the memory goes back to the allocator.
-    }
-
-    template <typename... Args>
-    T *
-    acquire(Args &&...args)
-    {
-        void *slot;
-        if (!free_.empty()) {
-            slot = free_.back();
-            free_.pop_back();
-            unpoison(slot, sizeof(T));
-        } else {
-            slot = arena_.alloc(sizeof(T), alignof(T));
-        }
-        ++live_;
-        return new (slot) T(std::forward<Args>(args)...);
-    }
-
-    void
-    release(T *obj)
-    {
-        panic_if(obj == nullptr, "Pool::release(nullptr)");
-        panic_if(live_ == 0, "Pool::release() without a live object");
-        obj->~T();
-        poison(obj, sizeof(T));
-        free_.push_back(obj);
-        --live_;
-    }
-
-    /** Objects currently acquired. */
-    std::size_t liveCount() const { return live_; }
-
-    /** Slots waiting on the free list. */
-    std::size_t freeCount() const { return free_.size(); }
-
-  private:
-    Arena arena_;
-    std::vector<void *> free_;
-    std::size_t live_ = 0;
-};
 
 /**
  * Flat, geometrically growing byte buffer for the modeled heap's

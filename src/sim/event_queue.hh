@@ -260,28 +260,6 @@ class EventQueue
         return now_;
     }
 
-    /**
-     * Advance simulated time to @p to without executing anything — the
-     * functional warm-up primitive. The jump must not hop over pending
-     * work: panics if an event is scheduled before @p to. Jumping
-     * backwards is a no-op (time never rewinds).
-     *
-     * @return the new current tick.
-     */
-    Tick
-    fastForward(Tick to)
-    {
-        if (to <= now_) {
-            return now_;
-        }
-        panic_if(nextEventTick() < to,
-                 "fastForward(%llu) would skip a pending event at %llu",
-                 (unsigned long long)to,
-                 (unsigned long long)nextEventTick());
-        now_ = to;
-        return now_;
-    }
-
     /** Total events executed since construction. */
     std::uint64_t executedCount() const { return executed_; }
 

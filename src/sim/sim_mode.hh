@@ -1,118 +1,21 @@
 /**
  * @file
- * Simulation fidelity knob.
+ * Residual fidelity enum.
  *
- * Every timing model in the tree runs in one of three modes:
- *
- *  - CycleAccurate: the reference. Full observability — trace spans,
- *    metrics time series, and stall attribution are all available.
- *
- *  - FastForward: functional speed mode. The timing math is identical
- *    (every stat a bench reports is byte-identical to CycleAccurate —
- *    that is the preservation contract, enforced by the differential
- *    suite in tests/test_sim_speed.cc and the `simspeed` ctest label),
- *    but observability is off: components skip metrics registration,
- *    trace emitters stay disabled, and stall-attribution bookkeeping is
- *    dropped. Asking for --trace/--metrics together with fast-forward
- *    is a usage error, not a silent downgrade.
- *
- *  - Sampled: FastForward plus statistical shortening of long open-loop
- *    serving runs — only a prefix of the arrival process is simulated
- *    and percentiles are estimated from the sample. Sampled results are
- *    approximations by construction and are never compared
- *    byte-for-byte; the differential suite bounds their error instead.
- *
- * The mode is an ambient process-global: benches set it once from
- * --sim-mode before any simulation context exists, and every config
- * struct (CoreConfig, AccelConfig, ClusterConfig, NodeConfig) snapshots
- * it as a default member initializer, so tests can also pin the mode
- * per-instance without touching the global.
+ * The simulator has one fidelity: observation (trace spans, metrics
+ * time series) follows the attached sinks alone. SimMode survives only
+ * because perfbench/hostbench/dataflow_jobs.cc:223 (`nodeConfig`) copies
+ * `DataflowConfig::mode` into `cluster::NodeConfig::mode`; both members
+ * are unread, and the enum has no second value, so it selects nothing.
+ * Delete it together with that line.
  */
 
 #ifndef CEREAL_SIM_SIM_MODE_HH
 #define CEREAL_SIM_SIM_MODE_HH
 
-#include <cstring>
-
 namespace cereal {
 
-/** Simulation fidelity level; see the file comment for the contract. */
-enum class SimMode
-{
-    CycleAccurate,
-    FastForward,
-    Sampled,
-};
-
-namespace detail {
-
-inline SimMode &
-globalSimModeRef()
-{
-    static SimMode mode = SimMode::CycleAccurate;
-    return mode;
-}
-
-} // namespace detail
-
-/** The ambient mode new configs default to. */
-inline SimMode
-globalSimMode()
-{
-    return detail::globalSimModeRef();
-}
-
-/**
- * Set the ambient mode. Call once, before building simulation contexts
- * (benches do this while parsing flags, before any sweep thread
- * starts); the global is not synchronized.
- */
-inline void
-setGlobalSimMode(SimMode mode)
-{
-    detail::globalSimModeRef() = mode;
-}
-
-/** "cycle" / "fast" / "sampled". */
-inline const char *
-simModeName(SimMode mode)
-{
-    switch (mode) {
-      case SimMode::CycleAccurate:
-        return "cycle";
-      case SimMode::FastForward:
-        return "fast";
-      case SimMode::Sampled:
-        return "sampled";
-    }
-    return "?";
-}
-
-/** Parse a --sim-mode value; returns false on unknown names. */
-inline bool
-parseSimMode(const char *s, SimMode &out)
-{
-    if (std::strcmp(s, "cycle") == 0) {
-        out = SimMode::CycleAccurate;
-        return true;
-    }
-    if (std::strcmp(s, "fast") == 0) {
-        out = SimMode::FastForward;
-        return true;
-    }
-    if (std::strcmp(s, "sampled") == 0) {
-        out = SimMode::Sampled;
-        return true;
-    }
-    return false;
-}
-
-/** True when @p mode keeps trace/metrics/attribution machinery live. */
-inline bool
-simModeObserves(SimMode mode)
-{
-    return mode == SimMode::CycleAccurate;
-}
+enum class SimMode { CycleAccurate };
 
 } // namespace cereal
 

@@ -324,18 +324,6 @@ INSTANTIATE_TEST_SUITE_P(AllJobs, DataflowJobs,
                          ::testing::Values("wordcount", "terasort",
                                            "pagerank"));
 
-TEST(Dataflow, FastForwardMatchesCycleAccurate)
-{
-    auto cfg = smallConfig("wordcount", "kryo");
-    cfg.mode = SimMode::CycleAccurate;
-    const auto cycle = runDataflow(cfg);
-    cfg.mode = SimMode::FastForward;
-    const auto fast = runDataflow(cfg);
-    EXPECT_EQ(cycle.resultChecksum, fast.resultChecksum);
-    EXPECT_DOUBLE_EQ(cycle.completionSeconds, fast.completionSeconds);
-    EXPECT_EQ(cycle.wireBytes, fast.wireBytes);
-}
-
 TEST(Dataflow, RunsAreDeterministic)
 {
     const auto a = runDataflow(smallConfig("pagerank", "plaincode"));

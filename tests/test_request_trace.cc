@@ -429,32 +429,6 @@ TEST(ServingTrace, StallBracketsTheParkedIntervalUnderIncast)
     EXPECT_GT(r.reqTrace.segTotal[unsigned(Segment::Stall)], 0u);
 }
 
-std::string
-reportJson(const trace::RequestTraceReport &rt)
-{
-    std::ostringstream ss;
-    json::Writer w(ss, 0);
-    rt.writeJson(w);
-    return ss.str();
-}
-
-TEST(ServingTrace, ReportIsByteIdenticalCycleVsFastForward)
-{
-    ServingConfig scfg = tracedServing(0.8);
-    scfg.reqTrace.sampleRate = 0.5; // exercise the sampled path too
-
-    ClusterConfig cy = tinyCluster(Backend::Kryo);
-    cy.mode = SimMode::CycleAccurate;
-    ClusterConfig ff = tinyCluster(Backend::Kryo);
-    ff.mode = SimMode::FastForward;
-
-    const auto a = runServingFrontend(ClusterSim(cy), scfg);
-    const auto b = runServingFrontend(ClusterSim(ff), scfg);
-    EXPECT_EQ(reportJson(a.reqTrace), reportJson(b.reqTrace));
-    EXPECT_EQ(a.reqTrace.sampled, b.reqTrace.sampled);
-    EXPECT_LT(a.reqTrace.sampled, a.reqTrace.requests);
-}
-
 // ---------------------------------------------------------------------
 // Dataflow critical path
 // ---------------------------------------------------------------------

@@ -167,40 +167,6 @@ TEST(EventQueue, NextEventTickAfterDrainIsMaxTick)
     EXPECT_EQ(eq.nextEventTick(), kMaxTick);
 }
 
-TEST(EventQueue, FastForwardSkipsIdleTimeWithoutExecuting)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1000, [&] { ++fired; });
-    EXPECT_EQ(eq.fastForward(900), 900u);
-    EXPECT_EQ(eq.now(), 900u);
-    EXPECT_EQ(fired, 0);
-    // Jumping exactly onto the next event's tick is allowed; the
-    // event still executes normally afterwards.
-    EXPECT_EQ(eq.fastForward(1000), 1000u);
-    EXPECT_EQ(fired, 0);
-    eq.runAll();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.executedCount(), 1u);
-}
-
-TEST(EventQueue, FastForwardBackwardsIsANoOp)
-{
-    EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.runAll();
-    EXPECT_EQ(eq.now(), 10u);
-    EXPECT_EQ(eq.fastForward(5), 10u);
-    EXPECT_EQ(eq.now(), 10u);
-}
-
-TEST(EventQueue, FastForwardOverPendingEventPanics)
-{
-    EventQueue eq;
-    eq.schedule(1000, [] {});
-    EXPECT_DEATH(eq.fastForward(1001), "skip a pending event");
-}
-
 TEST(EventCallback, SmallCallablesStayInline)
 {
     int hits = 0;

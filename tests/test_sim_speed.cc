@@ -2,22 +2,18 @@
  * @file
  * The sim-speed tier: tests for the simulator fast path.
  *
- *  - Arena / Pool / ContiguousBuffer allocation-layer
- *    semantics (alignment, chunk reuse across reset, free-list
- *    recycling, zeroing, growth).
+ *  - ContiguousBuffer semantics (zeroing, growth).
  *  - A global-operator-new counting proof that the hot event loop
  *    allocates zero bytes per event (same technique as test_trace's
  *    null-sink guarantee).
  *  - Dram::accessRange batched fast path vs the per-burst access()
  *    loop: identical completion ticks, counters, latency accounting,
  *    and bank/bus state.
- *  - The fast-forward equivalence contract, differentially: every
- *    stat a cycle-accurate run reports must come back bit-identical
- *    from a FastForward run, at the harness level (measureSoftware /
- *    measureCereal) and the cluster level (runShuffle and the
- *    serving front end's open loop).
- *  - Sampled-mode serving: the shortened run's percentiles must stay
- *    within bounded error of the full cycle-accurate population.
+ *  - Observation is free of side effects: every stat a bare run
+ *    reports must come back bit-identical from a run built under a
+ *    metrics recorder and a Chrome trace sink, at the harness level
+ *    (measureSoftware / measureCereal), the cluster level (runShuffle
+ *    and the serving front end's open loop) and the dataflow engine.
  */
 
 #include <gtest/gtest.h>
@@ -28,13 +24,19 @@
 #include <new>
 #include <vector>
 
+#include <sstream>
+#include <string>
+
 #include "cluster/cluster.hh"
 #include "cluster/serving.hh"
+#include "dataflow/job.hh"
 #include "mem/dram.hh"
+#include "metrics/metrics.hh"
 #include "serde/java_serde.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
-#include "sim/sim_mode.hh"
+#include "sim/json.hh"
+#include "trace/chrome_trace.hh"
 #include "workloads/harness.hh"
 #include "workloads/micro.hh"
 
@@ -88,96 +90,7 @@ using cluster::ClusterConfig;
 using cluster::ClusterSim;
 using cluster::LatencySummary;
 
-// ---------------------------------------------------------- arena
-
-TEST(Arena, RespectsAlignment)
-{
-    sim::Arena arena(256);
-    for (std::size_t align : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-        void *p = arena.alloc(3, align);
-        ASSERT_NE(p, nullptr);
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
-    }
-    // Zero-byte allocations still return distinct live pointers.
-    void *a = arena.alloc(0, 1);
-    void *b = arena.alloc(0, 1);
-    EXPECT_NE(a, b);
-}
-
-TEST(Arena, NonPowerOfTwoAlignmentPanics)
-{
-    sim::Arena arena;
-    EXPECT_DEATH(arena.alloc(8, 3), "2\\^n");
-}
-
-TEST(Arena, GrowsAcrossChunksAndResetReusesThem)
-{
-    sim::Arena arena(128);
-    std::vector<unsigned char *> ptrs;
-    for (int i = 0; i < 64; ++i) {
-        auto *p = static_cast<unsigned char *>(arena.alloc(100));
-        std::memset(p, 0xAB, 100);
-        ptrs.push_back(p);
-    }
-    EXPECT_GE(arena.chunkCount(), 2u);
-    EXPECT_GE(arena.bytesInUse(), 64u * 100u);
-    const std::size_t chunks = arena.chunkCount();
-    const std::size_t reserved = arena.bytesReserved();
-
-    arena.reset();
-    EXPECT_EQ(arena.bytesInUse(), 0u);
-    // Same allocation pattern after reset: no new chunks needed.
-    for (int i = 0; i < 64; ++i) {
-        arena.alloc(100);
-    }
-    EXPECT_EQ(arena.chunkCount(), chunks);
-    EXPECT_EQ(arena.bytesReserved(), reserved);
-}
-
-TEST(Arena, MakeConstructsInPlace)
-{
-    struct Obj
-    {
-        int a;
-        double b;
-        Obj(int a, double b) : a(a), b(b) {}
-    };
-    sim::Arena arena;
-    Obj *o = arena.make<Obj>(7, 2.5);
-    ASSERT_NE(o, nullptr);
-    EXPECT_EQ(o->a, 7);
-    EXPECT_DOUBLE_EQ(o->b, 2.5);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(o) % alignof(Obj), 0u);
-}
-
-TEST(Pool, RecyclesReleasedSlots)
-{
-    sim::Pool<std::uint64_t> pool;
-    std::uint64_t *a = pool.acquire(11u);
-    EXPECT_EQ(*a, 11u);
-    EXPECT_EQ(pool.liveCount(), 1u);
-    pool.release(a);
-    EXPECT_EQ(pool.liveCount(), 0u);
-    EXPECT_EQ(pool.freeCount(), 1u);
-    // The freed slot comes straight back.
-    std::uint64_t *b = pool.acquire(22u);
-    EXPECT_EQ(b, a);
-    EXPECT_EQ(*b, 22u);
-    EXPECT_EQ(pool.freeCount(), 0u);
-    pool.release(b);
-}
-
-TEST(Pool, MisuseIsFatal)
-{
-    sim::Pool<int> pool;
-    EXPECT_DEATH(pool.release(nullptr), "nullptr");
-    EXPECT_DEATH(
-        {
-            sim::Pool<int> leaky;
-            leaky.acquire(1);
-        },
-        "live");
-}
+// ------------------------------------------------ contiguous buffer
 
 TEST(ContiguousBuffer, ZeroesClaimsAndPreservesAcrossGrowth)
 {
@@ -318,12 +231,31 @@ TEST(DramBatch, AccessRangeMatchesPerBurstLoopExactly)
     EXPECT_EQ(ra.rowHit, rb.rowHit);
 }
 
-// --------------------------------------- fast-forward equivalence
+// ------------------------------------------------ observed vs bare
 
-class SimModeDiffTest : public ::testing::Test
+/**
+ * Run @p fn with a metrics recorder and a Chrome trace sink installed,
+ * so everything it builds observes. Both must record something: an
+ * observed run that observed nothing would prove nothing.
+ */
+template <typename Fn>
+auto
+observed(Fn &&fn)
+{
+    metrics::MetricsRecorder rec;
+    trace::ChromeTraceSink sink;
+    metrics::ScopedMetrics scoped_metrics(rec);
+    trace::ScopedTrace scoped_trace(sink);
+    auto out = fn();
+    EXPECT_FALSE(rec.series().empty());
+    EXPECT_FALSE(sink.events().empty());
+    return out;
+}
+
+class ObservedVsBare : public ::testing::Test
 {
   protected:
-    SimModeDiffTest() : micro(reg), src(reg)
+    ObservedVsBare() : micro(reg), src(reg)
     {
         Rng rng(11);
         root = micro.buildTree(src, 2, 1023, rng);
@@ -355,26 +287,19 @@ expectSameMeasurement(const workloads::SdMeasurement &c,
     EXPECT_EQ(c.deserEnergyJ, f.deserEnergyJ);
 }
 
-TEST_F(SimModeDiffTest, SoftwareMeasurementIsModeInvariant)
+TEST_F(ObservedVsBare, SoftwareMeasurement)
 {
     JavaSerializer java;
-    CoreConfig cycle;
-    cycle.mode = SimMode::CycleAccurate;
-    CoreConfig fast;
-    fast.mode = SimMode::FastForward;
-    expectSameMeasurement(
-        workloads::measureSoftware(java, src, root, cycle),
-        workloads::measureSoftware(java, src, root, fast));
+    const auto run = [&] {
+        return workloads::measureSoftware(java, src, root);
+    };
+    expectSameMeasurement(run(), observed(run));
 }
 
-TEST_F(SimModeDiffTest, CerealMeasurementIsModeInvariant)
+TEST_F(ObservedVsBare, CerealMeasurement)
 {
-    AccelConfig cycle;
-    cycle.mode = SimMode::CycleAccurate;
-    AccelConfig fast;
-    fast.mode = SimMode::FastForward;
-    expectSameMeasurement(workloads::measureCereal(src, root, cycle),
-                          workloads::measureCereal(src, root, fast));
+    const auto run = [&] { return workloads::measureCereal(src, root); };
+    expectSameMeasurement(run(), observed(run));
 }
 
 void
@@ -391,23 +316,25 @@ expectSameLatency(const LatencySummary &c, const LatencySummary &f)
 }
 
 ClusterConfig
-clusterConfig(SimMode mode, Backend backend = Backend::Java)
+clusterConfig(Backend backend = Backend::Java)
 {
     ClusterConfig cfg;
     cfg.nodes = 4;
     cfg.backend = backend;
     cfg.scale = 256;
-    cfg.mode = mode;
     return cfg;
 }
 
-TEST(ClusterModeDiff, ShuffleIsModeInvariant)
+TEST(ObservedVsBareCluster, Shuffle)
 {
     for (Backend b : {Backend::Java, Backend::Cereal}) {
-        ClusterSim cycle(clusterConfig(SimMode::CycleAccurate, b));
-        ClusterSim fast(clusterConfig(SimMode::FastForward, b));
-        const auto c = cycle.runShuffle();
-        const auto f = fast.runShuffle();
+        // The ClusterSim is built inside the observed scope, so its
+        // node profile is measured under observation too.
+        const auto run = [b] {
+            return ClusterSim(clusterConfig(b)).runShuffle();
+        };
+        const auto c = run();
+        const auto f = observed(run);
         EXPECT_EQ(c.completionSeconds, f.completionSeconds);
         EXPECT_EQ(c.frames, f.frames);
         EXPECT_EQ(c.wireBytes, f.wireBytes);
@@ -428,46 +355,59 @@ serveOpen(const ClusterSim &sim)
     return cluster::runServingFrontend(sim, cfg);
 }
 
-TEST(ClusterModeDiff, ServingIsModeInvariant)
+template <typename T>
+std::string
+jsonOf(const T &v)
 {
-    ClusterSim cycle(clusterConfig(SimMode::CycleAccurate));
-    ClusterSim fast(clusterConfig(SimMode::FastForward));
-    const auto c = serveOpen(cycle);
-    const auto f = serveOpen(fast);
+    std::ostringstream ss;
+    json::Writer w(ss, 0);
+    v.writeJson(w);
+    return ss.str();
+}
+
+TEST(ObservedVsBareCluster, ServingOpenLoop)
+{
+    const auto run = [] { return serveOpen(ClusterSim(clusterConfig())); };
+    const auto c = run();
+    const auto f = observed(run);
     EXPECT_EQ(c.offeredRps, f.offeredRps);
     EXPECT_EQ(c.goodputRps, f.goodputRps);
     EXPECT_EQ(c.requests, f.requests);
     EXPECT_EQ(c.completed, f.completed);
     EXPECT_EQ(c.durationSeconds, f.durationSeconds);
+    EXPECT_EQ(c.maxWorkerQueue, f.maxWorkerQueue);
     expectSameLatency(c.latency, f.latency);
+    EXPECT_EQ(jsonOf(c.reqTrace), jsonOf(f.reqTrace));
 }
 
-TEST(ClusterModeDiff, SampledServingBoundsPercentileError)
+TEST(ObservedVsBareDataflow, WordcountKryo)
 {
-    // Sampled mode simulates only the first quarter of each node's
-    // arrival process. The deterministic seed makes this a fixed
-    // comparison: the sampled percentiles must stay within 2x of the
-    // full population's, and the sample size must be the documented
-    // quarter (rounded up).
-    ClusterSim cycle(clusterConfig(SimMode::CycleAccurate));
-    ClusterSim sampled(clusterConfig(SimMode::Sampled));
-    const auto full = serveOpen(cycle);
-    const auto samp = serveOpen(sampled);
-
-    EXPECT_EQ(samp.requests, 4u * ((64 + 3) / 4));
-    EXPECT_EQ(samp.completed, samp.requests);
-    EXPECT_GT(samp.goodputRps, 0.0);
-
-    for (auto pair : {std::pair<double, double>{full.latency.p50,
-                                               samp.latency.p50},
-                      {full.latency.p95, samp.latency.p95},
-                      {full.latency.p99, samp.latency.p99},
-                      {full.latency.mean, samp.latency.mean}}) {
-        ASSERT_GT(pair.first, 0.0);
-        ASSERT_GT(pair.second, 0.0);
-        const double ratio = pair.second / pair.first;
-        EXPECT_GT(ratio, 0.5) << "sampled percentile collapsed";
-        EXPECT_LT(ratio, 2.0) << "sampled percentile exploded";
+    dataflow::DataflowConfig cfg;
+    cfg.nodes = 4;
+    cfg.job = "wordcount";
+    cfg.backend = "kryo";
+    cfg.recordsPerNode = 96;
+    cfg.seed = 3;
+    cfg.skew = 0.3;
+    const auto run = [&cfg] { return dataflow::runDataflow(cfg); };
+    const auto c = run();
+    const auto f = observed(run);
+    EXPECT_TRUE(c.invariantsOk);
+    EXPECT_EQ(c.resultChecksum, f.resultChecksum);
+    EXPECT_EQ(c.outputRecords, f.outputRecords);
+    EXPECT_EQ(c.completionSeconds, f.completionSeconds);
+    EXPECT_EQ(c.skewRatio, f.skewRatio);
+    EXPECT_EQ(c.wireBytes, f.wireBytes);
+    EXPECT_EQ(c.fabricBatches, f.fabricBatches);
+    ASSERT_EQ(c.stages.size(), f.stages.size());
+    for (std::size_t i = 0; i < c.stages.size(); ++i) {
+        const auto &cs = c.stages[i];
+        const auto &fs = f.stages[i];
+        EXPECT_EQ(cs.startSeconds, fs.startSeconds);
+        EXPECT_EQ(cs.endSeconds, fs.endSeconds);
+        EXPECT_EQ(cs.payloadBytes, fs.payloadBytes);
+        EXPECT_EQ(cs.streamBytes, fs.streamBytes);
+        EXPECT_EQ(jsonOf(cs.crit), jsonOf(fs.crit));
     }
 }
 
@@ -481,7 +421,7 @@ TEST(ServingFrontend, PerRequestCallbacksStayInline)
     // What still allocates per request is the fabric's batch vector
     // and amortised deque blocks (about 1.5 allocations). A step whose
     // closure spilled to the heap would add one allocation per request.
-    ClusterSim sim(clusterConfig(SimMode::CycleAccurate));
+    ClusterSim sim(clusterConfig());
     const auto allocations = [&](std::uint64_t requests_per_node) {
         cluster::ServingConfig cfg;
         cfg.requestsPerNode = requests_per_node;
