@@ -1,20 +1,14 @@
-# Runs a bench binary twice with --trace and --metrics -- serial and
-# with 8 worker threads -- and fails unless the two JSON documents, the
-# two Chrome trace documents, AND the two Prometheus metrics documents
-# are byte-identical. A third, bare run (no --trace/--metrics) must
-# report exactly what the observed serial run reports: observation
-# may add the JSON "metrics" subtrees bench_compare skips, but never
-# move a simulated number. Invoked by ctest (see add_test in
-# CMakeLists.txt) with:
-#   -DBENCH=<path to bench binary> -DCOMPARE=<bench_compare>
-#   -DWORKDIR=<scratch dir> -DNAME=<id>
+# Runs a bench binary twice -- serial and with 8 worker threads -- and
+# fails unless the two JSON documents, the two Chrome trace documents,
+# AND the two Prometheus metrics documents are byte-identical. Invoked
+# by ctest (see add_test in CMakeLists.txt) with:
+#   -DBENCH=<path to bench binary> -DWORKDIR=<scratch dir> -DNAME=<id>
 # A large scale divisor keeps the runtime in seconds while still
 # executing every sweep point.
 
 set(scale 256)
 set(json1 ${WORKDIR}/${NAME}_t1.json)
 set(json8 ${WORKDIR}/${NAME}_t8.json)
-set(json_bare ${WORKDIR}/${NAME}_bare.json)
 set(trace1 ${WORKDIR}/${NAME}_t1.trace.json)
 set(trace8 ${WORKDIR}/${NAME}_t8.trace.json)
 set(prom1 ${WORKDIR}/${NAME}_t1.prom)
@@ -63,25 +57,4 @@ if(NOT prom_diff EQUAL 0)
   message(FATAL_ERROR
           "metrics output differs between --threads 1 and --threads 8: "
           "${prom1} vs ${prom8}")
-endif()
-
-execute_process(
-  COMMAND ${BENCH} ${scale} --threads 1 --json ${json_bare}
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE stdout
-  ERROR_VARIABLE stderr)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-          "${BENCH} bare run failed (rc=${rc}):\n${stdout}\n${stderr}")
-endif()
-
-execute_process(
-  COMMAND ${COMPARE} ${json_bare} ${json1} --tolerance 0
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE stdout
-  ERROR_VARIABLE stderr)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-          "observation changed the reported stats: ${json_bare} vs "
-          "${json1} (rc=${rc}):\n${stdout}\n${stderr}")
 endif()

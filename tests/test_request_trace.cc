@@ -4,7 +4,7 @@
  * sampler, the CFRM frame trace-context extension (round trip,
  * negative decode paths, and its split wire form), timeline segment
  * conservation, end-to-end serving timelines (stall spans exactly
- * bracketing the credit-parked interval), cycle-vs-fast byte-equality
+ * bracketing the credit-parked interval), bare-vs-observed byte-equality
  * of the trace report, the dataflow per-stage critical path under a
  * deliberate straggler, Distribution exemplar resolution, and the
  * CreditManager refund-ordering / stall-wakeup edge cases.
@@ -21,8 +21,10 @@
 #include "cluster/frame.hh"
 #include "cluster/serving.hh"
 #include "dataflow/job.hh"
+#include "metrics/metrics.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
+#include "trace/chrome_trace.hh"
 #include "trace/critical_path.hh"
 #include "trace/request_trace.hh"
 
@@ -427,6 +429,43 @@ TEST(ServingTrace, StallBracketsTheParkedIntervalUnderIncast)
     // The aggregate stall segment in the report matches the per-
     // timeline spans.
     EXPECT_GT(r.reqTrace.segTotal[unsigned(Segment::Stall)], 0u);
+}
+
+std::string
+reportJson(const trace::RequestTraceReport &rt)
+{
+    std::ostringstream ss;
+    json::Writer w(ss, 0);
+    rt.writeJson(w);
+    return ss.str();
+}
+
+TEST(ServingTrace, ReportIsByteIdenticalBareVsObserved)
+{
+    ServingConfig scfg = tracedServing(0.8);
+    scfg.reqTrace.sampleRate = 0.5; // exercise the sampled path too
+    // The ClusterSim is built inside the observed scope, so its node
+    // profile is measured under observation too.
+    const auto run = [&scfg] {
+        return runServingFrontend(ClusterSim(tinyCluster(Backend::Kryo)),
+                                  scfg);
+    };
+
+    const auto a = run();
+    metrics::MetricsRecorder rec;
+    trace::ChromeTraceSink sink;
+    const auto b = [&] {
+        metrics::ScopedMetrics scoped_metrics(rec);
+        trace::ScopedTrace scoped_trace(sink);
+        return run();
+    }();
+    // An observed run that observed nothing would prove nothing.
+    EXPECT_FALSE(rec.series().empty());
+    EXPECT_FALSE(sink.events().empty());
+
+    EXPECT_EQ(reportJson(a.reqTrace), reportJson(b.reqTrace));
+    EXPECT_EQ(a.reqTrace.sampled, b.reqTrace.sampled);
+    EXPECT_LT(a.reqTrace.sampled, a.reqTrace.requests);
 }
 
 // ---------------------------------------------------------------------
