@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "sim/json.hh"
 #include "sim/json_parse.hh"
@@ -11,15 +12,19 @@ namespace runner {
 
 namespace {
 
-/** Flattened numeric leaves of one subtree, in document order. */
-using Leaves = std::vector<std::pair<std::string, double>>;
+/**
+ * Flattened leaves of one subtree, in document order: numbers and
+ * strings. Bools and nulls are schema, not results.
+ */
+using Leaves = std::vector<std::pair<std::string, const json::Value *>>;
 
 void
 flatten(const json::Value &v, const std::string &prefix, Leaves &out)
 {
     switch (v.type) {
       case json::Value::Type::Number:
-        out.emplace_back(prefix, v.number);
+      case json::Value::Type::String:
+        out.emplace_back(prefix, &v);
         break;
       case json::Value::Type::Object:
         for (const auto &kv : v.object) {
@@ -36,57 +41,83 @@ flatten(const json::Value &v, const std::string &prefix, Leaves &out)
         }
         break;
       default:
-        break; // strings/bools/nulls are schema, not measurements
+        break;
     }
 }
 
 /** Leaf maps keyed by path; insertion order preserved via Leaves. */
-const double *
+const json::Value *
 findLeaf(const Leaves &leaves, const std::string &path)
 {
     for (const auto &kv : leaves) {
         if (kv.first == path) {
-            return &kv.second;
+            return kv.second;
         }
     }
     return nullptr;
+}
+
+/** A leaf as reports show it: numbers formatted, strings quoted. */
+std::string
+show(const json::Value &v)
+{
+    return v.isString() ? json::escape(v.str)
+                        : json::formatDouble(v.number);
+}
+
+/** Exact equality of two leaves, type included. */
+bool
+sameLeaf(const json::Value &a, const json::Value &b)
+{
+    return a.type == b.type &&
+           (a.isString() ? a.str == b.str : a.number == b.number);
 }
 
 void
 compareLeaves(const Leaves &fresh, const Leaves &base,
               const Tolerance &tol, CompareResult &out)
 {
-    for (const auto &b : base) {
-        const double *f = findLeaf(fresh, b.first);
-        if (f == nullptr) {
-            out.findings.push_back(
-                {b.first, "missing from fresh output"});
+    for (const auto &[path, bv] : base) {
+        const json::Value *fv = findLeaf(fresh, path);
+        if (fv == nullptr) {
+            out.findings.push_back({path, "missing from fresh output"});
             continue;
         }
         ++out.comparedLeaves;
-        const double floor = tol.floorFor(b.first);
-        if (floor > 0) {
-            // One-sided: improvements always pass, drops fail only
-            // past the ratio.
-            if (*f < floor * b.second) {
-                std::ostringstream ss;
-                ss << "below floor: " << json::formatDouble(*f)
-                   << " < " << json::formatDouble(floor) << " * "
-                   << json::formatDouble(b.second);
-                out.findings.push_back({b.first, ss.str()});
+        if (bv->isString() || fv->isString()) {
+            // Labels (backends, dominant segments) match exactly or
+            // not at all: no tolerance applies to them.
+            if (!sameLeaf(*fv, *bv)) {
+                out.findings.push_back(
+                    {path, "changed " + show(*bv) + " -> " + show(*fv)});
             }
             continue;
         }
-        const double denom = std::max(std::fabs(b.second), 1e-12);
-        const double rel = std::fabs(*f - b.second) / denom;
-        const double allowed = tol.relFor(b.first);
+        const double f = fv->number;
+        const double b = bv->number;
+        const double floor = tol.floorFor(path);
+        if (floor > 0) {
+            // One-sided: improvements always pass, drops fail only
+            // past the ratio.
+            if (f < floor * b) {
+                std::ostringstream ss;
+                ss << "below floor: " << json::formatDouble(f) << " < "
+                   << json::formatDouble(floor) << " * "
+                   << json::formatDouble(b);
+                out.findings.push_back({path, ss.str()});
+            }
+            continue;
+        }
+        const double denom = std::max(std::fabs(b), 1e-12);
+        const double rel = std::fabs(f - b) / denom;
+        const double allowed = tol.relFor(path);
         if (rel > allowed) {
             std::ostringstream ss;
-            ss << "drift " << json::formatDouble(b.second) << " -> "
-               << json::formatDouble(*f) << " (rel "
+            ss << "drift " << json::formatDouble(b) << " -> "
+               << json::formatDouble(f) << " (rel "
                << json::formatDouble(rel) << " > tol "
                << json::formatDouble(allowed) << ")";
-            out.findings.push_back({b.first, ss.str()});
+            out.findings.push_back({path, ss.str()});
         }
     }
     for (const auto &f : fresh) {
@@ -209,15 +240,14 @@ compareBenchJson(const std::string &fresh_text,
         Leaves fl, bl;
         flatten(*fcfg, "config", fl);
         flatten(*bcfg, "config", bl);
-        for (const auto &b : bl) {
-            const double *f = findLeaf(fl, b.first);
-            if (f == nullptr) {
-                out.findings.push_back({b.first, "config key missing"});
-            } else if (*f != b.second) {
+        for (const auto &[path, bv] : bl) {
+            const json::Value *fv = findLeaf(fl, path);
+            if (fv == nullptr) {
+                out.findings.push_back({path, "config key missing"});
+            } else if (!sameLeaf(*fv, *bv)) {
                 out.findings.push_back(
-                    {b.first,
-                     "config mismatch: fresh " + json::formatDouble(*f) +
-                         " vs baseline " + json::formatDouble(b.second)});
+                    {path, "config mismatch: fresh " + show(*fv) +
+                               " vs baseline " + show(*bv)});
             }
         }
         for (const auto &f : fl) {
@@ -248,9 +278,16 @@ compareBenchJson(const std::string &fresh_text,
                 {"points." + n->str, "point missing from fresh output"});
             continue;
         }
+        const std::string prefix = "points." + n->str;
         Leaves fl, bl;
-        flatten(*fp, "points." + n->str, fl);
-        flatten(bp, "points." + n->str, bl);
+        flatten(*fp, prefix, fl);
+        flatten(bp, prefix, bl);
+        // The name matched the two points; it is not a result.
+        const auto isName = [&](const auto &leaf) {
+            return leaf.first == prefix + ".name";
+        };
+        std::erase_if(fl, isName);
+        std::erase_if(bl, isName);
         compareLeaves(fl, bl, tol, out);
     }
     for (const auto &fp : fpts->array) {

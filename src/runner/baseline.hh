@@ -13,7 +13,8 @@
  *  - Points are matched by their "name" member (order-insensitive),
  *    and every numeric leaf inside a point is flattened to a dotted
  *    path ("points.tree-narrow.cereal_speedup") and compared with a
- *    relative tolerance. Missing or extra points/leaves fail.
+ *    relative tolerance. String leaves (a backend, a dominant
+ *    segment) must match exactly. Missing or extra points/leaves fail.
  *  - The "summary" object is flattened and compared the same way.
  *  - Embedded "metrics" subtrees are excluded: time-series samples are
  *    compared byte-exactly by the determinism tests, not with
@@ -87,7 +88,7 @@ struct CompareResult
     std::string error;
     /** Individual failures (empty on pass). */
     std::vector<Finding> findings;
-    /** Numeric leaves compared. */
+    /** Number and string leaves compared. */
     std::size_t comparedLeaves = 0;
 
     /** Multi-line report (one line per finding; "OK ..." on pass). */

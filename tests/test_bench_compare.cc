@@ -5,8 +5,8 @@
  * document-comparison engine behind tools/bench_compare — pass on an
  * identical document, fail on a perturbed metric (the acceptance
  * criterion for the gate), exact-match config policy, point matching
- * by name, metrics-subtree exclusion, and error handling for documents
- * that cannot be meaningfully compared.
+ * by name, exact string leaves, metrics-subtree exclusion, and error
+ * handling for documents that cannot be meaningfully compared.
  */
 
 #include <gtest/gtest.h>
@@ -240,6 +240,30 @@ TEST(BenchCompare, MissingAndExtraPointsFail)
     EXPECT_FALSE(extra.pass);
     EXPECT_NE(extra.findings[0].message.find("not present in baseline"),
               std::string::npos);
+}
+
+TEST(BenchCompare, ChangedStringLeafFailsWhateverTheTolerance)
+{
+    // A p99 exemplar whose dominant segment moves is a behaviour
+    // change even when every number stays inside the band.
+    auto knee = [](const std::string &segment) {
+        return R"({"schema": "cereal-bench-v1", "bench": "serving_knee",)"
+               R"( "points": [{"name": "p", "reqtrace": {"p99_exemplar":)"
+               R"( {"end_to_end_ticks": 10, "dominant_segment": ")" +
+               segment + R"("}}}]})";
+    };
+    const auto same = compareBenchJson(knee("queue"), knee("queue"));
+    EXPECT_TRUE(same.pass) << same.report();
+    EXPECT_EQ(same.comparedLeaves, 2u);
+
+    Tolerance loose;
+    loose.defaultRel = 1e18;
+    const auto res = compareBenchJson(knee("deser"), knee("queue"), loose);
+    EXPECT_FALSE(res.pass);
+    ASSERT_EQ(res.findings.size(), 1u);
+    EXPECT_EQ(res.findings[0].path,
+              "points.p.reqtrace.p99_exemplar.dominant_segment");
+    EXPECT_EQ(res.findings[0].message, R"(changed "queue" -> "deser")");
 }
 
 TEST(BenchCompare, PointOrderDoesNotMatter)

@@ -6,13 +6,16 @@
  * timing (zero-load latency, in-place payload delivery, per-flow
  * fairness, incast serialization, batching), and the event-driven
  * cluster simulation (all-to-all completeness, latency percentiles,
- * open-loop serving load response, determinism, and the
- * Cereal-dominance property the knee bench asserts at full scale).
+ * open-loop serving load response, determinism, the fabric and
+ * per-node tracks of a traced shuffle, and the Cereal-dominance
+ * property the knee bench asserts at full scale).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -20,6 +23,8 @@
 #include "cluster/frame.hh"
 #include "cluster/node.hh"
 #include "cluster/serving.hh"
+#include "trace/chrome_trace.hh"
+#include "trace/trace.hh"
 
 namespace cereal {
 namespace {
@@ -513,6 +518,21 @@ TEST(ClusterShuffle, DeterministicAcrossRuns)
     auto ra2 = a.runShuffle();
     EXPECT_DOUBLE_EQ(ra.completionSeconds, ra2.completionSeconds);
     EXPECT_DOUBLE_EQ(ra.latency.p95, ra2.latency.p95);
+}
+
+TEST(ClusterShuffle, TraceNamesFabricAndPerNodeTracks)
+{
+    trace::ChromeTraceSink sink;
+    {
+        trace::ScopedTrace scoped(sink);
+        ClusterSim sim(tinyConfig(Backend::Kryo));
+        sim.runShuffle();
+    }
+    std::ostringstream ss;
+    trace::writeChromeTrace(ss, {{"kryo-shuffle", &sink}});
+    const std::string track = R"("name":"thread_name","args":{"name":")";
+    EXPECT_NE(ss.str().find(track + "fabric."), std::string::npos);
+    EXPECT_NE(ss.str().find(track + "node0"), std::string::npos);
 }
 
 /** The serving front end's open loop: all admitted, no credits. */

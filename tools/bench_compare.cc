@@ -7,11 +7,12 @@
  *                 [--tolerance X] [--tolerance <path-substr>=Y]
  *                 [--floor <path-substr>=R] ...
  *
- * Exit status 0 when every numeric leaf is within tolerance, 1 on any
- * drift / missing / extra metric, 2 on usage or I/O errors. With
- * CEREAL_UPDATE_BASELINES=1 in the environment the fresh document is
- * copied over the baseline instead of compared (the golden-file regen
- * convention), which is how baselines are recorded in the first place.
+ * Exit status 0 when every numeric leaf is within tolerance and every
+ * string leaf is unchanged, 1 on any drift / changed / missing / extra
+ * leaf, 2 on usage or I/O errors. With CEREAL_UPDATE_BASELINES=1 in
+ * the environment the fresh document is copied over the baseline
+ * instead of compared (the golden-file regen convention), which is how
+ * baselines are recorded in the first place.
  */
 
 #include <cstdio>
