@@ -14,8 +14,8 @@
  *   bench_<name> [scale] [--threads N] [--json [path]] [--trace <path>]
  *               [--metrics <path> [--metrics-interval N]]
  *
- * --threads N runs the independent sweep points on a work-stealing
- * pool; output (stdout tables, JSON, and traces) is bit-identical to a
+ * --threads N runs the independent sweep points on N worker threads;
+ * output (stdout tables, JSON, and traces) is bit-identical to a
  * serial run because every point builds its own simulation context
  * from explicit seeds and results land in registration-order slots.
  * --json writes the schema-stable BENCH_<name>.json document (default

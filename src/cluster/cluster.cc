@@ -1,6 +1,5 @@
 #include "cluster/cluster.hh"
 
-#include <cmath>
 #include <unordered_map>
 #include <utility>
 
@@ -11,17 +10,6 @@
 
 namespace cereal {
 namespace cluster {
-
-namespace {
-
-Tick
-secondsToTicks(double s)
-{
-    return static_cast<Tick>(
-        std::ceil(s * static_cast<double>(kTicksPerSecond)));
-}
-
-} // namespace
 
 LatencySummary
 LatencySummary::of(const stats::Distribution &d)

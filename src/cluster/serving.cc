@@ -1,7 +1,6 @@
 #include "cluster/serving.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <functional>
 #include <utility>
@@ -18,13 +17,6 @@ namespace cereal {
 namespace cluster {
 
 namespace {
-
-Tick
-secondsToTicks(double s)
-{
-    return static_cast<Tick>(
-        std::ceil(s * static_cast<double>(kTicksPerSecond)));
-}
 
 /** Admission/flow state of one node's front end. */
 struct NodeCtl

@@ -23,13 +23,6 @@ namespace dataflow {
 
 namespace {
 
-Tick
-secondsToTicks(double s)
-{
-    return static_cast<Tick>(
-        std::ceil(s * static_cast<double>(kTicksPerSecond)));
-}
-
 /** Distinct-key budget of the pre-shuffle combine table. */
 constexpr std::size_t kCombineSpillKeys = 64;
 

@@ -6,8 +6,8 @@
 
 namespace cereal {
 
-Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
-    : SimObject(name, eq), cfg_(cfg)
+Dram::Dram(const std::string &, EventQueue &, const DramConfig &cfg)
+    : cfg_(cfg)
 {
     panic_if(!isPowerOf2(cfg_.burstBytes), "burst size must be 2^n");
     panic_if(!isPowerOf2(cfg_.numChannels), "channel count must be 2^n");
@@ -23,11 +23,6 @@ Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
     tRP_ = nsToTicks(cfg_.tRPns);
     tBURST_ = nsToTicks(cfg_.tBURSTns);
     tCtrl_ = nsToTicks(cfg_.tCtrlNs);
-
-    stats().add("reads", "read bursts serviced", statReads_);
-    stats().add("writes", "write bursts serviced", statWrites_);
-    stats().add("rowHits", "row-buffer hits", statRowHits_);
-    stats().add("rowMisses", "row-buffer misses", statRowMisses_);
 
     chBytes_.assign(cfg_.numChannels, 0);
     metrics_ = metrics::Group(metrics::current(), "mem.dram");
@@ -76,10 +71,13 @@ Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
             "row_hit_rate", "row-buffer hits per access this interval",
             [this] { return static_cast<double>(cumRowHits_); },
             [this] { return static_cast<double>(cumAccesses_); });
-        // Cumulative counters come straight off the StatGroup, via
-        // the by-name bridge the metrics registry provides.
-        metrics_.gaugeFromStat(stats(), "reads");
-        metrics_.gaugeFromStat(stats(), "writes");
+        // Burst counts since the last resetStats().
+        metrics_.gauge("reads", "read bursts serviced", [this] {
+            return static_cast<double>(bytesRead_ / cfg_.burstBytes);
+        });
+        metrics_.gauge("writes", "write bursts serviced", [this] {
+            return static_cast<double>(bytesWritten_ / cfg_.burstBytes);
+        });
     }
 }
 
@@ -141,17 +139,12 @@ Dram::access(Addr addr, bool write, Tick issue)
     ++cumAccesses_;
     if (write) {
         bytesWritten_ += cfg_.burstBytes;
-        ++statWrites_;
     } else {
         bytesRead_ += cfg_.burstBytes;
-        ++statReads_;
     }
     if (row_hit) {
         ++rowHits_;
         ++cumRowHits_;
-        ++statRowHits_;
-    } else {
-        ++statRowMisses_;
     }
     latencySumNs_ += static_cast<double>(complete - issue) / 1e3;
     chBytes_[ch_idx] += cfg_.burstBytes;
@@ -182,7 +175,7 @@ Dram::accessRange(Addr addr, Addr bytes, bool write, Tick issue)
     // Batched fast path: the same timing recurrence as access() —
     // byte-identical bank/bus state, counters, and completion ticks
     // (proven by the equivalence tests in test_sim_speed) — with the
-    // per-burst observability hooks and stat writes hoisted out. The
+    // per-burst observability hooks and counter updates hoisted out. The
     // model is schedule-synchronous, so an idle channel "skips to its
     // next busy tick" through the max() against the issue tick rather
     // than by draining filler events.
@@ -226,17 +219,11 @@ Dram::accessRange(Addr addr, Addr bytes, bool write, Tick issue)
     cumAccesses_ += bursts;
     rowHits_ += hits;
     cumRowHits_ += hits;
-    const auto d_bursts = static_cast<double>(bursts);
-    const auto d_hits = static_cast<double>(hits);
     if (write) {
         bytesWritten_ += bursts * cfg_.burstBytes;
-        statWrites_ += d_bursts;
     } else {
         bytesRead_ += bursts * cfg_.burstBytes;
-        statReads_ += d_bursts;
     }
-    statRowHits_ += d_hits;
-    statRowMisses_ += d_bursts - d_hits;
     return done;
 }
 
@@ -248,10 +235,6 @@ Dram::resetStats()
     accesses_ = 0;
     rowHits_ = 0;
     latencySumNs_ = 0;
-    statReads_.reset();
-    statWrites_.reset();
-    statRowHits_.reset();
-    statRowMisses_.reset();
 }
 
 double

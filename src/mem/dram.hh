@@ -21,10 +21,11 @@
 #define CEREAL_MEM_DRAM_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "metrics/metrics.hh"
-#include "sim/sim_object.hh"
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
 
@@ -80,11 +81,19 @@ struct DramResult
  * Thread-unsafe by design: the simulator is single-threaded and event
  * ordering is deterministic.
  */
-class Dram : public SimObject
+class Dram
 {
   public:
-    Dram(const std::string &name, EventQueue &eq,
+    /**
+     * The name and event queue are unused: the model is
+     * schedule-synchronous and its metrics prefix is fixed.
+     */
+    Dram(const std::string &, EventQueue &,
          const DramConfig &cfg = DramConfig());
+
+    /** Metrics closures capture this object; it must not move. */
+    Dram(const Dram &) = delete;
+    Dram &operator=(const Dram &) = delete;
 
     /** The configuration this model was built with. */
     const DramConfig &config() const { return cfg_; }
@@ -166,7 +175,7 @@ class Dram : public SimObject
     /**
      * Time-series registration with the ambient metrics recorder:
      * per-channel bandwidth utilization and queue depth, plus row-hit
-     * rate and the cumulative counters bridged from stats().
+     * rate and the read/write burst counts.
      */
     metrics::Group metrics_;
     /** Cumulative bytes moved per channel (metrics never reset). */
@@ -182,11 +191,6 @@ class Dram : public SimObject
     std::uint64_t accesses_ = 0;
     std::uint64_t rowHits_ = 0;
     double latencySumNs_ = 0;
-
-    stats::Scalar statReads_;
-    stats::Scalar statWrites_;
-    stats::Scalar statRowHits_;
-    stats::Scalar statRowMisses_;
 };
 
 } // namespace cereal

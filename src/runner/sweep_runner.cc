@@ -1,10 +1,14 @@
 #include "runner/sweep_runner.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
-#include "runner/thread_pool.hh"
 #include "sim/logging.hh"
 
 namespace cereal {
@@ -14,6 +18,30 @@ namespace {
 
 /** Depth of a point fragment inside the final document. */
 constexpr std::size_t kPointDepth = 2;
+
+/**
+ * Render into @p path through @p render: "" is a no-op, "-" is stdout,
+ * anything else a file that must open and flush cleanly. Returns the
+ * path written ("" when nothing was).
+ */
+template <typename Render>
+std::string
+writeOutput(const std::string &path, Render &&render)
+{
+    if (path.empty()) {
+        return "";
+    }
+    if (path == "-") {
+        render(std::cout);
+        return path;
+    }
+    std::ofstream os(path, std::ios::binary);
+    fatal_if(!os, "cannot open %s for writing", path.c_str());
+    render(os);
+    os.flush();
+    fatal_if(!os, "write to %s failed", path.c_str());
+    return path;
+}
 
 } // namespace
 
@@ -59,27 +87,39 @@ SweepRunner::run(unsigned threads)
         pointJson_[i] = ss.str();
     };
 
-    if (threads <= 1 || points_.size() <= 1) {
-        for (std::size_t i = 0; i < points_.size(); ++i) {
-            run_point(i);
+    // Points are independent and write only their own slots, so a
+    // worker just claims the next unrun index until none are left. The
+    // first exception a point throws stops further claims and is
+    // rethrown once every worker has stopped.
+    std::atomic<std::size_t> next{0};
+    std::mutex failureMutex;
+    std::exception_ptr failure;
+    auto work = [&] {
+        try {
+            for (std::size_t i; (i = next.fetch_add(1)) < points_.size();) {
+                run_point(i);
+            }
+        } catch (...) {
+            next.store(points_.size());
+            std::lock_guard<std::mutex> lk(failureMutex);
+            if (!failure) {
+                failure = std::current_exception();
+            }
         }
-        return;
+    };
+    if (threads <= 1 || points_.size() <= 1) {
+        work();
+    } else {
+        // std::jthread joins on destruction, on every path out.
+        std::vector<std::jthread> workers;
+        const std::size_t n = std::min<std::size_t>(threads, points_.size());
+        for (std::size_t t = 0; t < n; ++t) {
+            workers.emplace_back(work);
+        }
     }
-
-    ThreadPool pool(threads);
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-        pool.submit([&run_point, i] { run_point(i); });
+    if (failure) {
+        std::rethrow_exception(failure);
     }
-    pool.wait();
-}
-
-const std::string &
-SweepRunner::pointJson(std::size_t i) const
-{
-    panic_if(!ran_, "pointJson() before run()");
-    panic_if(i >= pointJson_.size(), "pointJson(%zu): only %zu points",
-             i, pointJson_.size());
-    return pointJson_[i];
 }
 
 void
@@ -114,16 +154,6 @@ SweepRunner::writeJson(std::ostream &os,
     os << "\n";
 }
 
-const trace::ChromeTraceSink &
-SweepRunner::pointTrace(std::size_t i) const
-{
-    panic_if(!ran_ || !traceEnabled_,
-             "pointTrace() needs enableTrace() before run()");
-    panic_if(i >= pointTrace_.size(), "pointTrace(%zu): only %zu points",
-             i, pointTrace_.size());
-    return *pointTrace_[i];
-}
-
 std::vector<trace::TracePoint>
 SweepRunner::tracePoints() const
 {
@@ -146,19 +176,7 @@ SweepRunner::writeTrace(std::ostream &os) const
 std::string
 SweepRunner::writeTraceFile(const std::string &path) const
 {
-    if (path.empty()) {
-        return "";
-    }
-    if (path == "-") {
-        writeTrace(std::cout);
-        return path;
-    }
-    std::ofstream os(path, std::ios::binary);
-    fatal_if(!os, "cannot open %s for writing", path.c_str());
-    writeTrace(os);
-    os.flush();
-    fatal_if(!os, "write to %s failed", path.c_str());
-    return path;
+    return writeOutput(path, [this](std::ostream &os) { writeTrace(os); });
 }
 
 void
@@ -173,17 +191,6 @@ SweepRunner::enableMetrics(Tick interval)
     panic_if(ran_, "enableMetrics() after run()");
     metricsEnabled_ = true;
     metricsInterval_ = interval;
-}
-
-const metrics::MetricsRecorder &
-SweepRunner::pointMetrics(std::size_t i) const
-{
-    panic_if(!ran_ || !metricsEnabled_,
-             "pointMetrics() needs enableMetrics() before run()");
-    panic_if(i >= pointMetrics_.size(),
-             "pointMetrics(%zu): only %zu points", i,
-             pointMetrics_.size());
-    return *pointMetrics_[i];
 }
 
 std::vector<metrics::MetricsPoint>
@@ -214,44 +221,22 @@ SweepRunner::writeMetricsProm(std::ostream &os) const
 std::string
 SweepRunner::writeMetricsFile(const std::string &path) const
 {
-    if (path.empty()) {
-        return "";
-    }
     const bool csv = path.size() >= 4 &&
                      path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (path == "-") {
-        writeMetricsProm(std::cout);
-        return path;
-    }
-    std::ofstream os(path, std::ios::binary);
-    fatal_if(!os, "cannot open %s for writing", path.c_str());
-    if (csv) {
-        writeMetricsCsv(os);
-    } else {
-        writeMetricsProm(os);
-    }
-    os.flush();
-    fatal_if(!os, "write to %s failed", path.c_str());
-    return path;
+    return writeOutput(path, [this, csv](std::ostream &os) {
+        if (csv) {
+            writeMetricsCsv(os);
+        } else {
+            writeMetricsProm(os);
+        }
+    });
 }
 
 std::string
 SweepRunner::writeJsonFile(const std::string &path,
                            const std::vector<ConfigKv> &config) const
 {
-    if (path.empty()) {
-        return "";
-    }
-    if (path == "-") {
-        writeJson(std::cout, config);
-        return path;
-    }
-    std::ofstream os(path, std::ios::binary);
-    fatal_if(!os, "cannot open %s for writing", path.c_str());
-    writeJson(os, config);
-    os.flush();
-    fatal_if(!os, "write to %s failed", path.c_str());
-    return path;
+    return writeOutput(path, [&](std::ostream &os) { writeJson(os, config); });
 }
 
 } // namespace runner

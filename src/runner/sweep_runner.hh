@@ -72,15 +72,14 @@ class SweepRunner
         points_.push_back({std::move(point_name), std::move(fn)});
     }
 
-    std::size_t numPoints() const { return points_.size(); }
-    const std::string &benchName() const { return benchName_; }
-
     /**
      * Execute every point. @p threads <= 1 runs serially on the
-     * calling thread (the reference behaviour); otherwise a
-     * work-stealing pool of @p threads workers runs the points
-     * concurrently. A point that panics/throws aborts the run with the
-     * point's name attached.
+     * calling thread (the reference behaviour); otherwise
+     * min(@p threads, points) worker threads claim points by index
+     * until none are left. A point that panics aborts the process
+     * (panic() calls std::abort()). The first exception a point throws
+     * stops the remaining points from starting and propagates out of
+     * run() after every worker has stopped.
      *
      * May be called once per runner instance.
      */
@@ -96,10 +95,6 @@ class SweepRunner
      * thread counts, like the JSON.
      */
     void enableTrace() { traceEnabled_ = true; }
-    bool traceEnabled() const { return traceEnabled_; }
-
-    /** Trace sink of point @p i (enableTrace() + run() required). */
-    const trace::ChromeTraceSink &pointTrace(std::size_t i) const;
 
     /**
      * Record time-series metrics for every point. Must be called
@@ -114,10 +109,6 @@ class SweepRunner
      *        default of 1 us simulated time)
      */
     void enableMetrics(Tick interval = 0);
-    bool metricsEnabled() const { return metricsEnabled_; }
-
-    /** Metrics recorder of point @p i (enableMetrics() + run()). */
-    const metrics::MetricsRecorder &pointMetrics(std::size_t i) const;
 
     /** Merged long-form CSV document over all points. */
     void writeMetricsCsv(std::ostream &os) const;
@@ -154,9 +145,6 @@ class SweepRunner
     {
         summary_ = std::move(fn);
     }
-
-    /** Rendered JSON fragment of point @p i (run() must be done). */
-    const std::string &pointJson(std::size_t i) const;
 
     /** Render the whole document to @p os. */
     void writeJson(std::ostream &os,

@@ -2,33 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-
-#include "sim/json.hh"
-#include "sim/logging.hh"
 
 namespace cereal {
 namespace stats {
-
-void
-StatGroup::addEntry(Entry e)
-{
-    panic_if(find(e.name) != nullptr,
-             "stat group '%s' already has a stat named '%s'",
-             name_.c_str(), e.name.c_str());
-    entries_.push_back(std::move(e));
-}
-
-const Entry *
-StatGroup::find(const std::string &stat_name) const
-{
-    for (const auto &e : entries_) {
-        if (e.name == stat_name) {
-            return &e;
-        }
-    }
-    return nullptr;
-}
 
 double
 Distribution::quantile(double q) const
@@ -118,112 +94,6 @@ Distribution::logBucketCounts() const
             samples_.begin());
     }
     return counts;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    os << "---- " << name_ << " ----\n";
-    for (const auto &e : entries_) {
-        os << std::left << std::setw(36) << (name_ + "." + e.name);
-        switch (e.kind) {
-          case Kind::Scalar: {
-            const auto *s = static_cast<const Scalar *>(e.stat);
-            os << std::setw(16) << s->value();
-            break;
-          }
-          case Kind::Average: {
-            const auto *a = static_cast<const Average *>(e.stat);
-            os << "mean=" << a->mean() << " min=" << a->min()
-               << " max=" << a->max() << " n=" << a->count();
-            break;
-          }
-          case Kind::Histogram: {
-            const auto *h = static_cast<const Histogram *>(e.stat);
-            os << "mean=" << h->mean() << " n=" << h->count()
-               << " overflow=" << h->overflow();
-            break;
-          }
-          case Kind::Distribution: {
-            const auto *d = static_cast<const Distribution *>(e.stat);
-            os << "p50=" << d->p50() << " p95=" << d->p95()
-               << " p99=" << d->p99() << " n=" << d->count();
-            break;
-          }
-          case Kind::Formula: {
-            const auto *f = static_cast<const Formula *>(e.stat);
-            os << std::setw(16) << f->value();
-            break;
-          }
-        }
-        os << "  # " << e.desc << "\n";
-    }
-}
-
-void
-StatGroup::dumpJson(json::Writer &w) const
-{
-    w.key(name_);
-    w.beginObject();
-    for (const auto &e : entries_) {
-        w.key(e.name);
-        w.beginObject();
-        switch (e.kind) {
-          case Kind::Scalar: {
-            const auto *s = static_cast<const Scalar *>(e.stat);
-            w.kv("kind", "scalar");
-            w.kv("value", s->value());
-            break;
-          }
-          case Kind::Average: {
-            const auto *a = static_cast<const Average *>(e.stat);
-            w.kv("kind", "average");
-            w.kv("mean", a->mean());
-            w.kv("min", a->min());
-            w.kv("max", a->max());
-            w.kv("sum", a->sum());
-            w.kv("count", a->count());
-            break;
-          }
-          case Kind::Histogram: {
-            const auto *h = static_cast<const Histogram *>(e.stat);
-            w.kv("kind", "histogram");
-            w.kv("mean", h->mean());
-            w.kv("count", h->count());
-            w.kv("overflow", h->overflow());
-            w.kv("bucket_width", h->bucketWidth());
-            w.key("buckets");
-            w.beginArray();
-            for (auto b : h->buckets()) {
-                w.value(b);
-            }
-            w.endArray();
-            break;
-          }
-          case Kind::Distribution: {
-            const auto *d = static_cast<const Distribution *>(e.stat);
-            w.kv("kind", "distribution");
-            w.kv("count", d->count());
-            w.kv("mean", d->mean());
-            w.kv("min", d->min());
-            w.kv("max", d->max());
-            w.kv("p50", d->p50());
-            w.kv("p95", d->p95());
-            w.kv("p99", d->p99());
-            w.kv("p999", d->p999());
-            break;
-          }
-          case Kind::Formula: {
-            const auto *f = static_cast<const Formula *>(e.stat);
-            w.kv("kind", "formula");
-            w.kv("value", f->value());
-            break;
-          }
-        }
-        w.kv("desc", e.desc);
-        w.endObject();
-    }
-    w.endObject();
 }
 
 } // namespace stats

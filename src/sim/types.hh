@@ -11,6 +11,7 @@
 #ifndef CEREAL_SIM_TYPES_HH
 #define CEREAL_SIM_TYPES_HH
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -47,6 +48,14 @@ constexpr Tick
 nsToTicks(double ns)
 {
     return static_cast<Tick>(ns * 1e3);
+}
+
+/** Convert a second quantity to ticks, rounding up. */
+inline Tick
+secondsToTicks(double s)
+{
+    return static_cast<Tick>(
+        std::ceil(s * static_cast<double>(kTicksPerSecond)));
 }
 
 /** Convert ticks to seconds (for reporting only). */

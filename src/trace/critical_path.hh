@@ -8,8 +8,8 @@
  *    RequestTimelines, which segments explain the >= p99 cohort's
  *    latency? tailAttribution() selects the cohort by nearest-rank
  *    quantile over integer-tick end-to-end latencies (so the cohort is
- *    identical across threads and sim modes) and returns per-segment
- *    shares, largest first.
+ *    identical across thread counts) and returns per-segment shares,
+ *    largest first.
  *
  *  - Dataflow barriers: each exchange stage ends when the slowest
  *    destination finishes its reduce, and that destination is bounded

@@ -28,9 +28,9 @@
  *   consume     operator compute on the decoded value
  *
  * Everything is integer ticks derived from the event clock, so trace
- * output is byte-identical across host thread counts and across
- * cycle vs fast-forward sim modes: request tracing is part of the
- * *reported stats*, not the (mode-gated) observability layer.
+ * output is byte-identical across host thread counts and with or
+ * without --trace/--metrics: request tracing is part of the *reported
+ * stats* (the bench JSON), not of the attachable observability sinks.
  *
  * Sampling is head-based and seeded: the decision is a pure hash of
  * (trace id, seed) against the configured rate, made before the

@@ -3,11 +3,11 @@
  * Tests for the time-series metrics layer: series kinds and sampling
  * semantics, capacity bounding, run-length catch-up (differential
  * against a per-boundary reference recorder, plus closure-call
- * counts), prefix uniquification, RAII detach,
- * the StatGroup bridge, the disabled (no ambient recorder) path, the
- * three exporters (JSON/CSV/Prometheus), byte-determinism of sweep
- * metrics across thread counts on both the micro and cluster stacks,
- * and the pinned golden CSV of a small Figure-10-style run.
+ * counts), prefix uniquification, RAII detach, the disabled (no
+ * ambient recorder) path, the three exporters (JSON/CSV/Prometheus),
+ * byte-determinism of sweep metrics across thread counts on both the
+ * micro and cluster stacks, and the pinned golden CSV of a small
+ * Figure-10-style run.
  */
 
 #include <gtest/gtest.h>
@@ -484,34 +484,6 @@ TEST(Metrics, ScopedRecorderInstallsAndRestores)
         EXPECT_EQ(metrics::current(), &rec);
     }
     EXPECT_EQ(metrics::current(), nullptr);
-}
-
-TEST(Metrics, GaugeFromStatBridgesScalarsAndAverages)
-{
-    stats::StatGroup sg("dev");
-    stats::Scalar reads;
-    stats::Average lat;
-    sg.add("reads", "read count", reads);
-    sg.add("lat", "latency", lat);
-    reads += 7;
-    lat.sample(10);
-    lat.sample(20);
-
-    MetricsRecorder rec(100);
-    Group g(&rec, "dev");
-    g.gaugeFromStat(sg, "reads");
-    g.gaugeFromStat(sg, "lat");
-    g.tick(100);
-    EXPECT_DOUBLE_EQ(rec.series()[0].last().value, 7.0);
-    EXPECT_DOUBLE_EQ(rec.series()[1].last().value, 15.0);
-}
-
-TEST(Metrics, GaugeFromStatPanicsOnUnknownName)
-{
-    stats::StatGroup sg("dev");
-    MetricsRecorder rec;
-    Group g(&rec, "dev");
-    EXPECT_DEATH(g.gaugeFromStat(sg, "nope"), "no stat");
 }
 
 // ----------------------------------------------------------- exports

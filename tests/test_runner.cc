@@ -1,95 +1,27 @@
 /**
  * @file
- * Unit tests for the experiment runner subsystem: the work-stealing
- * thread pool, the deterministic SweepRunner (the same sweep run with
- * 1 and 8 threads must render byte-identical JSON), the JSON writer's
- * escaping/formatting, and the stats/harness JSON exporters.
+ * Unit tests for the experiment runner subsystem: the deterministic
+ * SweepRunner (the same sweep run with 1 and 8 threads must render
+ * byte-identical JSON), the JSON writer's escaping/formatting, and the
+ * harness JSON exporter.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "runner/sweep_runner.hh"
-#include "runner/thread_pool.hh"
 #include "sim/json.hh"
-#include "sim/stats.hh"
 #include "workloads/harness.hh"
 
 namespace cereal {
 namespace {
-
-// ---------------------------------------------------------------- pool
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    runner::ThreadPool pool(4);
-    EXPECT_EQ(pool.numThreads(), 4u);
-    std::atomic<int> hits{0};
-    for (int i = 0; i < 1000; ++i) {
-        pool.submit([&hits] { ++hits; });
-    }
-    pool.wait();
-    EXPECT_EQ(hits.load(), 1000);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    runner::ThreadPool pool(2);
-    std::atomic<int> hits{0};
-    for (int round = 0; round < 5; ++round) {
-        for (int i = 0; i < 50; ++i) {
-            pool.submit([&hits] { ++hits; });
-        }
-        pool.wait();
-        EXPECT_EQ(hits.load(), (round + 1) * 50);
-    }
-}
-
-TEST(ThreadPool, TasksRunOnWorkerThreadsNotCaller)
-{
-    // The pool promises execution on its workers, not any particular
-    // spread across them (a fast worker may legally steal everything).
-    runner::ThreadPool pool(4);
-    const auto caller = std::this_thread::get_id();
-    std::mutex m;
-    std::set<std::thread::id> seen;
-    for (int i = 0; i < 400; ++i) {
-        pool.submit([&] {
-            std::lock_guard<std::mutex> lk(m);
-            seen.insert(std::this_thread::get_id());
-        });
-    }
-    pool.wait();
-    EXPECT_FALSE(seen.empty());
-    EXPECT_EQ(seen.count(caller), 0u);
-    EXPECT_LE(seen.size(), 4u);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingWork)
-{
-    std::atomic<int> hits{0};
-    {
-        runner::ThreadPool pool(3);
-        for (int i = 0; i < 200; ++i) {
-            pool.submit([&hits] { ++hits; });
-        }
-        // No wait(): the destructor must finish the queue.
-    }
-    EXPECT_EQ(hits.load(), 200);
-}
-
-TEST(ThreadPool, ZeroMeansHardwareConcurrency)
-{
-    runner::ThreadPool pool(0);
-    EXPECT_GE(pool.numThreads(), 1u);
-}
 
 // ---------------------------------------------------------------- json
 
@@ -141,44 +73,6 @@ TEST(Json, WriterTracksBalance)
 }
 
 // --------------------------------------------------------------- stats
-
-TEST(StatsJson, AllKindsExportFixedSchema)
-{
-    stats::Scalar sc;
-    sc += 3;
-    stats::Average avg;
-    avg.sample(1);
-    avg.sample(3);
-    stats::Histogram h(4, 10.0);
-    h.sample(5);
-    h.sample(45); // overflow
-    stats::Formula f([&] { return sc.value() * 2; });
-
-    stats::StatGroup g("grp");
-    g.add("sc", "a scalar", sc);
-    g.add("avg", "an average", avg);
-    g.add("hist", "a histogram", h);
-    g.add("form", "a formula", f);
-
-    std::ostringstream ss;
-    json::Writer w(ss, 0);
-    w.beginObject();
-    g.dumpJson(w);
-    w.endObject();
-    ASSERT_TRUE(w.balanced());
-
-    const std::string doc = ss.str();
-    EXPECT_NE(doc.find("\"grp\":{"), std::string::npos) << doc;
-    EXPECT_NE(doc.find("\"sc\":{\"kind\":\"scalar\",\"value\":3"),
-              std::string::npos)
-        << doc;
-    EXPECT_NE(doc.find("\"mean\":2"), std::string::npos) << doc;
-    EXPECT_NE(doc.find("\"overflow\":1"), std::string::npos) << doc;
-    EXPECT_NE(doc.find("\"buckets\":[1,0,0,0]"), std::string::npos) << doc;
-    EXPECT_NE(doc.find("\"form\":{\"kind\":\"formula\",\"value\":6"),
-              std::string::npos)
-        << doc;
-}
 
 TEST(StatsJson, SdMeasurementMemberSetIsStable)
 {
@@ -283,15 +177,36 @@ TEST(SweepRunner, DocumentHasStableShape)
 
 TEST(SweepRunner, PointsRunExactlyOnceEach)
 {
-    runner::SweepRunner sweep("once");
-    std::vector<std::atomic<int>> counts(16);
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        sweep.add("p" + std::to_string(i),
-                  [&counts, i](json::Writer &) { ++counts[i]; });
+    // {threads, points}: fewer threads than points, and more (the
+    // runner starts only as many workers as there are points).
+    for (auto [threads, points] :
+         {std::pair<unsigned, std::size_t>{4, 16}, {8, 3}}) {
+        runner::SweepRunner sweep("once");
+        std::vector<std::atomic<int>> counts(points);
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            sweep.add("p" + std::to_string(i),
+                      [&counts, i](json::Writer &) { ++counts[i]; });
+        }
+        sweep.run(threads);
+        for (auto &c : counts) {
+            EXPECT_EQ(c.load(), 1) << threads << " threads";
+        }
     }
-    sweep.run(4);
-    for (auto &c : counts) {
-        EXPECT_EQ(c.load(), 1);
+}
+
+TEST(SweepRunner, PointExceptionLeavesRunOnEveryPath)
+{
+    for (unsigned threads : {1u, 4u}) {
+        runner::SweepRunner sweep("throws");
+        for (int i = 0; i < 8; ++i) {
+            sweep.add("p" + std::to_string(i), [i](json::Writer &) {
+                if (i == 3) {
+                    throw std::runtime_error("point 3");
+                }
+            });
+        }
+        EXPECT_THROW(sweep.run(threads), std::runtime_error)
+            << threads << " threads";
     }
 }
 
